@@ -19,7 +19,7 @@ import numpy as np
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings
 from chatdqn.agent import train
 from chatdqn.clustering import fit
-from chatdqn.embeddings import embed_sentence, tokenize
+from chatdqn.embeddings import embed_corpus
 from chatdqn.repl import chat_repl
 
 # The generated corpus speaks a synthetic vocabulary (token tNNwNN = word
@@ -36,21 +36,15 @@ SCRIPT = [
 def main():
     table = make_toy_embeddings(6, dim=10, seed=21)
     corpus = make_toy_corpus(40, topics=range(6), seed=21)
-    points = np.stack(
-        [
-            embed_sentence(tokenize(t.text), table).values
-            for d in corpus.dialogues
-            for t in d.turns
-        ]
-    )
-    model = fit(points, 6, rng=np.random.default_rng([21, 20]))
+    vectors, _ = embed_corpus(corpus, table)
+    model = fit(vectors, 6, rng=np.random.default_rng([21, 20]))
     cfg = AgentConfig(
         n_actions=6, embedding_dim=10, hidden_dim=32, burn_in=200,
         batch_size=32, target_sync_period=500, learn_steps=2000,
         test_steps=1000, memory_capacity=4000, seed=2,
     )
     print("training a small agent first (a few seconds)...")
-    _report, agent, _env = train(corpus, cfg, model, table)
+    _report, agent, _env = train(corpus, cfg, model, vectors)
 
     lines = iter(SCRIPT)
     path = os.path.join(tempfile.mkdtemp(prefix="chatdqn-demo-"), "transcript.jsonl")

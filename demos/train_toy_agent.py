@@ -13,18 +13,8 @@ import numpy as np
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings
 from chatdqn.agent import evaluate, train
 from chatdqn.clustering import fit
-from chatdqn.embeddings import embed_sentence, tokenize
+from chatdqn.embeddings import embed_corpus
 from chatdqn.environment import baseline_bounds
-
-
-def sentence_points(corpus, table):
-    return np.stack(
-        [
-            embed_sentence(tokenize(t.text), table).values
-            for d in corpus.dialogues
-            for t in d.turns
-        ]
-    )
 
 
 def main():
@@ -32,9 +22,10 @@ def main():
     train_corpus = make_toy_corpus(60, topics=range(6), seed=7, id_prefix="tr")
     test_corpus = make_toy_corpus(25, topics=range(6, 12), seed=8, id_prefix="te")
 
-    points = sentence_points(train_corpus, table)
-    model = fit(points, 12, rng=np.random.default_rng([7, 20]))
-    print(f"clustered {len(points)} sentences into k={model.k} actions "
+    train_vectors, _ = embed_corpus(train_corpus, table)
+    test_vectors, _ = embed_corpus(test_corpus, table)
+    model = fit(train_vectors, 12, rng=np.random.default_rng([7, 20]))
+    print(f"clustered {len(train_vectors)} sentences into k={model.k} actions "
           f"(inertia {model.inertia:.3f})")
 
     upper, lower, rand = baseline_bounds(train_corpus.dialogues, candidates=3)
@@ -45,7 +36,7 @@ def main():
         batch_size=32, target_sync_period=800, learn_steps=4000,
         test_steps=2500, memory_capacity=8000, seed=3,
     )
-    report, agent, _env = train(train_corpus, cfg, model, table)
+    report, agent, _env = train(train_corpus, cfg, model, train_vectors)
 
     print("episode  reward(MA100)")
     marks = np.linspace(1, report.episodes, num=min(10, report.episodes), dtype=int)
@@ -54,8 +45,8 @@ def main():
     print(f"\ntrained {report.episodes} episodes / {report.steps} steps "
           f"in {report.wall_clock_s:.1f}s")
 
-    ev_train = evaluate(agent.net, train_corpus, cfg, model, table, seed=1)
-    ev_test = evaluate(agent.net, test_corpus, cfg, model, table, seed=1)
+    ev_train = evaluate(agent.net, train_corpus, cfg, model, train_vectors, seed=1)
+    ev_test = evaluate(agent.net, test_corpus, cfg, model, test_vectors, seed=1)
     print(f"greedy eval, training dialogues: {ev_train.mean_reward:+.3f} "
           f"({len(ev_train.episode_rewards)} episodes)")
     print(f"greedy eval, unseen topics:      {ev_test.mean_reward:+.3f} "

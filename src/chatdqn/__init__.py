@@ -33,7 +33,7 @@ from .clustering import (
     ClusterModel,
     assign,
     assign_many,
-    dialogue_vector,
+    dialogue_vectors,
     euclidean,
     fit,
     kmeanspp_seed,
@@ -61,11 +61,9 @@ from .corpus import (
     validate_dialogue,
 )
 from .embeddings import (
-    SentenceVector,
-    StateMatrix,
     WordEmbeddingTable,
-    embed_history,
-    embed_sentence,
+    embed_corpus,
+    embed_texts,
     load_embeddings,
     tokenize,
 )
@@ -96,7 +94,6 @@ from .neuralnet import (
     glorot_uniform,
     gru_backward,
     gru_forward,
-    gru_step,
     init_gru_params,
     qnet_loss_and_grads,
     regressor_loss_and_grads,
@@ -107,11 +104,9 @@ from .reward_predictor import (
     DISTORTION_FRACTIONS,
     HISTORY_LENGTHS,
     PredictorConfig,
-    RegressionExample,
     StudyRow,
-    build_regression_dataset,
     distort_corpus,
-    examples_from_distorted,
+    history_prefixes,
     history_length_study,
     pearson,
     predict,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .corpus import Corpus
-from .embeddings import WordEmbeddingTable
 from .environment import DialogueEnv, episode_reward
 from .neuralnet import Adam, QNetwork, qnet_loss_and_grads
 
@@ -271,23 +270,35 @@ def moving_average(values: Sequence[float], window: int = 100) -> list[float]:
     return out
 
 
+def _subset(corpus: Corpus, dialogue_ids: Sequence[str] | None):
+    """The dialogues `dialogue_ids` of corpus (all when None), in that order,
+    and the index of their rows in the corpus's sentence vectors."""
+    if dialogue_ids is None:
+        return corpus, slice(None)
+    offsets = np.cumsum([0] + [len(d.turns) for d in corpus])
+    rows = [r for i in map(corpus.index_of, dialogue_ids)
+            for r in range(offsets[i], offsets[i + 1])]
+    return corpus.subset(dialogue_ids), rows
+
+
 def train(
     corpus: Corpus,
     cfg: AgentConfig,
     sentence_model: ClusterModel,
-    table: WordEmbeddingTable,
+    vectors: np.ndarray,
     dialogue_ids: Sequence[str] | None = None,
     config_hash: str = "",
     log: Callable[[str], None] | None = None,
 ) -> tuple[RunReport, ChatDQNAgent, DialogueEnv]:
     """Run the learning loop on a dialogue split (default: whole corpus).
 
-    Episodes are sampled uniformly with replacement; candidate distractors
+    `vectors` holds the corpus's sentence vectors (`embed_corpus`). Episodes
+    are sampled uniformly with replacement; candidate distractors
     come from the split itself. Training stops at the first episode boundary
     at or past cfg.learn_steps. Returns the report, the trained agent, and
     the environment (reusable for greedy evaluation on the same split).
     """
-    split = corpus if dialogue_ids is None else corpus.subset(dialogue_ids)
+    split, rows = _subset(corpus, dialogue_ids)
     if len(split) == 0:
         raise ValueError("empty training split")
     if sentence_model.k != cfg.n_actions:
@@ -295,7 +306,7 @@ def train(
             f"cluster model has k={sentence_model.k} but config expects {cfg.n_actions}"
         )
     env = DialogueEnv(
-        split, sentence_model, table, candidates=cfg.candidates,
+        split, sentence_model, vectors[rows], candidates=cfg.candidates,
         rng=np.random.default_rng([cfg.seed, 6]),
     )
     agent = ChatDQNAgent(cfg)
@@ -362,26 +373,27 @@ def evaluate(
     corpus: Corpus,
     cfg: AgentConfig,
     sentence_model: ClusterModel,
-    table: WordEmbeddingTable,
+    vectors: np.ndarray,
     dialogue_ids: Sequence[str] | None = None,
     seed: int = 0,
     policy: Callable | None = None,
     env: DialogueEnv | None = None,
 ) -> EvalResult:
     """Greedy (epsilon=0) evaluation: one pass over the dialogue set, capped
-    at cfg.test_steps env turns.
+    at cfg.test_steps env turns. `vectors` holds the corpus's sentence
+    vectors (`embed_corpus`).
 
     Candidate draws use a per-dialogue rng derived from (seed, dialogue id),
     so different policies face identical candidate sequences. `policy` (for
     stubs/oracles) takes (state, cands, env) and returns an action id; the
     default is the greedy policy of `net`.
     """
-    subset = corpus if dialogue_ids is None else corpus.subset(dialogue_ids)
+    subset, rows = _subset(corpus, dialogue_ids)
     if len(subset) == 0:
         raise ValueError("empty evaluation set")
     if env is None:
         env = DialogueEnv(
-            subset, sentence_model, table, candidates=cfg.candidates,
+            subset, sentence_model, vectors[rows], candidates=cfg.candidates,
             rng=np.random.default_rng([seed, 7]),
         )
     cap = cfg.history_len

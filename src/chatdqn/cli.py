@@ -20,7 +20,7 @@ import numpy as np
 from . import experiment
 from .checkpoint import load_qnetwork
 from .clustering import (
-    dialogue_vector,
+    dialogue_vectors,
     fit,
     load_cluster_model,
     pca_project,
@@ -34,7 +34,7 @@ from .corpus import (
     save_splits,
     split_corpus,
 )
-from .embeddings import embed_sentence, load_embeddings, tokenize
+from .embeddings import embed_corpus, load_embeddings, tokenize
 from .experiment import (
     ExperimentConfig,
     StageError,
@@ -55,12 +55,6 @@ def _load_cfg(args) -> ExperimentConfig:
     if getattr(args, "out", None):
         cfg.out_dir = args.out
     return cfg
-
-
-def _sentence_vectors(corpus, table) -> np.ndarray:
-    return np.stack(
-        [embed_sentence(tokenize(t.text), table).values for d in corpus for t in d.turns]
-    )
 
 
 def _cmd_ingest(args) -> int:
@@ -98,12 +92,12 @@ def _cmd_embed(args) -> int:
 
 def _cmd_cluster(args) -> int:
     corpus = load_corpus(args.corpus)
-    table = load_embeddings(args.embeddings, args.dim)
+    vectors, offsets = embed_corpus(corpus, load_embeddings(args.embeddings, args.dim))
     if args.what == "sentences":
-        points = _sentence_vectors(corpus, table)
+        points = vectors
         rng = np.random.default_rng([args.seed, 20, args.dim])
     else:
-        points = np.stack([dialogue_vector(d, table) for d in corpus])
+        points = dialogue_vectors(vectors, offsets)
         rng = np.random.default_rng([args.seed, 21])
     model = fit(points, args.k, rng=rng)
     save_cluster_model(model, args.out, extra={"seed": args.seed})
@@ -119,11 +113,8 @@ def _cmd_project(args) -> int:
             return 1
         points = load_cluster_model(args.clusters).centroids
     else:
-        corpus = load_corpus(args.corpus)
-        if args.what == "sentences":
-            points = _sentence_vectors(corpus, table)
-        else:
-            points = np.stack([dialogue_vector(d, table) for d in corpus])
+        vectors, offsets = embed_corpus(load_corpus(args.corpus), table)
+        points = vectors if args.what == "sentences" else dialogue_vectors(vectors, offsets)
     XY = pca_project(points, out_dim=2)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,y\n")
@@ -135,10 +126,9 @@ def _cmd_project(args) -> int:
 
 def _cmd_split(args) -> int:
     corpus = load_corpus(args.corpus)
-    table = load_embeddings(args.embeddings, args.dim)
-    points = np.stack([dialogue_vector(d, table) for d in corpus])
+    points = dialogue_vectors(*embed_corpus(corpus, load_embeddings(args.embeddings, args.dim)))
     model = fit(points, args.k, rng=np.random.default_rng([args.seed, 21]))
-    splits = split_corpus(corpus, model, table)
+    splits = split_corpus(corpus, model, points)
     save_splits(splits, args.out, extra={"seed": args.seed})
     if args.model_out:
         save_cluster_model(model, args.model_out, extra={"seed": args.seed})
@@ -350,7 +340,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

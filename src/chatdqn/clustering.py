@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import WordEmbeddingTable, embed_sentence, tokenize
-
 __all__ = [
     "ClusterModel",
+    "InertiaIncreaseError",
     "euclidean",
     "kmeanspp_seed",
     "fit",
     "assign",
     "assign_many",
-    "dialogue_vector",
+    "dialogue_vectors",
     "pca_project",
     "save_cluster_model",
     "load_cluster_model",
@@ -47,6 +46,10 @@ class ClusterModel:
             )
         if not np.all(np.isfinite(self.centroids)):
             raise ValueError("non-finite centroid")
+
+
+class InertiaIncreaseError(ArithmeticError):
+    """A Lloyd pass raised the inertia, which exact arithmetic never does."""
 
 
 def euclidean(x, y) -> float:
@@ -118,17 +121,19 @@ def _assign_and_repair(points: np.ndarray, centroids: np.ndarray):
     return labels, centroids, inertia
 
 
+def _append_inertia(history: list[float], inertia: float) -> None:
+    """Record one pass's inertia, refusing an increase beyond float slack."""
+    if history and inertia > history[-1] + 1e-9 + 1e-12 * abs(history[-1]):
+        raise InertiaIncreaseError(f"inertia increased: {history[-1]} -> {inertia}")
+    history.append(inertia)
+
+
 def _lloyd_once(points, k, rng, max_iters, tol):
     centroids = kmeanspp_seed(points, k, rng)
     history: list[float] = []
     for _ in range(max_iters):
         labels, centroids, inertia = _assign_and_repair(points, centroids)
-        if history:
-            # Lloyd monotonicity, with a hair of float slack.
-            assert inertia <= history[-1] + 1e-9 + 1e-12 * abs(history[-1]), (
-                f"inertia increased: {history[-1]} -> {inertia}"
-            )
-        history.append(inertia)
+        _append_inertia(history, inertia)
         new_centroids = np.empty_like(centroids)
         for j in range(k):
             new_centroids[j] = points[labels == j].mean(axis=0)
@@ -138,9 +143,7 @@ def _lloyd_once(points, k, rng, max_iters, tol):
             break
     # Final pass so the stored labels/inertia match the stored centroids.
     labels, centroids, inertia = _assign_and_repair(points, centroids)
-    if history:
-        assert inertia <= history[-1] + 1e-9 + 1e-12 * abs(history[-1])
-    history.append(inertia)
+    _append_inertia(history, inertia)
     return centroids, inertia, history
 
 
@@ -157,8 +160,8 @@ def fit(
     A single K-Means++ init lands in a suboptimal basin a noticeable
     fraction of the time even on tiny instances; ten restarts make the
     near-optimality failure rate negligible at these scales.  The winning
-    run's inertia history (one value per assignment pass, asserted
-    non-increasing every iteration) is kept on the returned model as
+    run's inertia history (one value per assignment pass, checked
+    non-increasing every iteration; an increase raises InertiaIncreaseError) is kept on the returned model as
     `inertia_history` for inspection.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -194,15 +197,12 @@ def assign_many(model: ClusterModel, X) -> np.ndarray:
     return np.argmin(_sq_dists(X, model.centroids), axis=1)
 
 
-def dialogue_vector(dialogue, table: WordEmbeddingTable) -> np.ndarray:
-    """Mean of the sentence vectors of every turn in the dialogue."""
-    turns = getattr(dialogue, "turns", dialogue)
-    if len(turns) == 0:
+def dialogue_vectors(vectors: np.ndarray, offsets) -> np.ndarray:
+    """(n_dialogues, dim): row i is the mean of the sentence vectors
+    vectors[offsets[i]:offsets[i + 1]] of dialogue i (see `embed_corpus`)."""
+    if np.any(np.diff(offsets) < 1):
         raise ValueError("empty dialogue has no vector")
-    vecs = np.stack(
-        [embed_sentence(tokenize(t.text), table).values for t in turns]
-    )
-    return vecs.mean(axis=0)
+    return np.stack([vectors[a:b].mean(axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
 
 
 def pca_project(points, out_dim: int = 2) -> np.ndarray:
@@ -253,6 +253,9 @@ def load_cluster_model(path: str) -> ClusterModel:
         obj = json.load(fh)
     if obj.get("version") != 1:
         raise ValueError(f"unsupported cluster model version: {obj.get('version')!r}")
+    for key in ("k", "dim", "centroids"):
+        if key not in obj:
+            raise ValueError(f"{path}: cluster model has no {key!r} key")
     model = ClusterModel(
         k=int(obj["k"]),
         dim=int(obj["dim"]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import clustering
 from .clustering import ClusterModel
-from .embeddings import WordEmbeddingTable, tokenize
+from .embeddings import tokenize
 
 __all__ = [
     "ENV",
@@ -252,16 +252,18 @@ def corpus_stats(corpus: Corpus) -> dict:
 
 
 def split_corpus(
-    corpus: Corpus, dialogue_model: ClusterModel, table: WordEmbeddingTable
+    corpus: Corpus, dialogue_model: ClusterModel, points: np.ndarray
 ) -> list[DataSplit]:
-    """Partition dialogues by the cluster of their dialogue vector.
+    """Partition dialogues by the cluster of their dialogue vector, points[i]
+    being the vector of the i-th dialogue (see `clustering.dialogue_vectors`).
 
     Returns one DataSplit per cluster id (possibly empty) so split_id always
     equals the cluster id.
     """
+    if len(points) != len(corpus):
+        raise ValueError(f"{len(points)} dialogue vectors for {len(corpus)} dialogues")
     buckets: list[list[str]] = [[] for _ in range(dialogue_model.k)]
-    for d in corpus:
-        v = clustering.dialogue_vector(d, table)
+    for d, v in zip(corpus, points):
         buckets[clustering.assign(dialogue_model, v)].append(d.id)
     return [
         DataSplit(split_id=j, dialogue_ids=tuple(ids)) for j, ids in enumerate(buckets)
@@ -285,6 +287,8 @@ def load_splits(path: str) -> list[DataSplit]:
         obj = json.load(fh)
     if obj.get("version") != 1:
         raise ValueError(f"unsupported splits version: {obj.get('version')!r}")
+    if "splits" not in obj:
+        raise ValueError(f"{path}: splits file has no 'splits' key")
     items = sorted(((int(k), v) for k, v in obj["splits"].items()))
     return [DataSplit(split_id=k, dialogue_ids=tuple(v)) for k, v in items]
 

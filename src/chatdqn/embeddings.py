@@ -1,26 +1,23 @@
-"""Word-vector tables and mean-vector text representations.
+"""Word-vector tables and mean-vector sentence representations.
 
-Sentences are represented by the arithmetic mean of their in-vocabulary
-word vectors (zero vector when nothing is in vocabulary); dialogue
-histories by a fixed-length stack of sentence vectors, zero-padded
-after the first `filled` rows.
+A sentence is represented by the arithmetic mean of its in-vocabulary word
+vectors (zero vector when nothing is in vocabulary). This is the only module
+that averages word vectors: a corpus is embedded once, and everything
+downstream addresses its sentences by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "WordEmbeddingTable",
-    "SentenceVector",
-    "StateMatrix",
     "load_embeddings",
     "tokenize",
-    "embed_sentence",
-    "embed_history",
+    "embed_texts",
+    "embed_corpus",
 ]
 
 # Characters stripped from token edges after whitespace splitting.
@@ -89,30 +86,6 @@ class WordEmbeddingTable:
         return table
 
 
-@dataclass(eq=False)
-class SentenceVector:
-    """Mean word vector of a sentence; word_count counts in-vocabulary tokens."""
-
-    values: np.ndarray
-    word_count: int
-
-
-@dataclass(eq=False)
-class StateMatrix:
-    """Fixed-size stack of sentence vectors; rows past `filled` are zero."""
-
-    rows: np.ndarray  # (max_len, dim)
-    filled: int
-
-    @property
-    def max_len(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
 def load_embeddings(path: str, dim: int) -> WordEmbeddingTable:
     """Parse a GloVe-style text file: `token v1 v2 ... v_dim` per line.
 
@@ -164,23 +137,26 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def embed_sentence(tokens: Sequence[str], table: WordEmbeddingTable) -> SentenceVector:
-    """Mean of the in-vocabulary token vectors; zero vector if none are known."""
-    found = [table.lookup(t) for t in tokens]
-    found = [v for v in found if v is not None]
-    if not found:
-        return SentenceVector(np.zeros(table.dim, dtype=np.float64), 0)
-    return SentenceVector(np.mean(found, axis=0), len(found))
+def embed_texts(texts: Sequence[str], table: WordEmbeddingTable) -> np.ndarray:
+    """(n, dim) sentence vectors: row i is the mean of the in-vocabulary word
+    vectors of tokenize(texts[i]), or zeros if none is in vocabulary.
+
+    Each distinct text is embedded once and its row repeated."""
+    rows: dict[str, int] = {}
+    ids = [rows.setdefault(text, len(rows)) for text in texts]
+    unique = np.zeros((len(rows), table.dim), dtype=np.float64)
+    for text, i in rows.items():
+        found = [table.lookup(t) for t in tokenize(text)]
+        found = [v for v in found if v is not None]
+        if found:
+            unique[i] = np.mean(found, axis=0)
+    return unique if len(rows) == len(ids) else unique[ids]
 
 
-def embed_history(
-    history: Sequence[str], table: WordEmbeddingTable, max_len: int = 50
-) -> StateMatrix:
-    """Embed the most recent `max_len` sentences into a padded state matrix."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    recent = list(history)[-max_len:]
-    rows = np.zeros((max_len, table.dim), dtype=np.float64)
-    for i, sentence in enumerate(recent):
-        rows[i] = embed_sentence(tokenize(sentence), table).values
-    return StateMatrix(rows=rows, filled=len(recent))
+def embed_corpus(dialogues: Iterable, table: WordEmbeddingTable):
+    """(vectors, offsets) for a sequence of dialogues (anything with `turns`):
+    one row per turn, in order, and dialogue i owns the rows
+    offsets[i]:offsets[i + 1]."""
+    turns = [d.turns for d in dialogues]
+    offsets = np.cumsum([0] + [len(t) for t in turns])
+    return embed_texts([t.text for ts in turns for t in ts], table), offsets

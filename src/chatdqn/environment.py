@@ -2,9 +2,10 @@
 human-human dialogues, choosing among clustered candidate responses and
 earning +1 when it picks the cluster of the true human reply, -1 otherwise.
 
-All corpus sentences are embedded and cluster-assigned once at construction;
-states carry global sentence ids so batches of training states can be
-materialized with a single gather from the precomputed vector matrix.
+The environment takes the corpus's sentence vectors (see
+`embeddings.embed_corpus`) and cluster-assigns them once at construction;
+states carry sentence ids so batches of training states can be materialized
+with a single gather from that vector matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from . import clustering
 from .clustering import ClusterModel
 from .corpus import AGENT, Corpus, Dialogue
-from .embeddings import WordEmbeddingTable, embed_sentence, tokenize
 
 __all__ = [
     "EnvState",
@@ -30,11 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EnvState:
-    """Transcript so far plus the index of the next agent decision."""
+    """Transcript so far, as sentence ids, plus the index of the next agent
+    decision."""
 
     dialogue_ref: str
-    history: tuple[str, ...]
-    history_ids: tuple[int, ...]  # global sentence ids mirroring `history`
+    history_ids: tuple[int, ...]
     turn_index: int
     done: bool
 
@@ -46,12 +46,13 @@ class CandidateSet:
     sentences: tuple[str, ...]
     truth_index: int
     action_ids: tuple[int, ...]
-    sentence_ids: tuple[int, ...]  # global sentence ids
+    sentence_ids: tuple[int, ...]
 
 
 class DialogueEnv:
-    """Environment over an immutable corpus, sentence-cluster model, and
-    embedding table.
+    """Environment over an immutable corpus, sentence-cluster model, and the
+    corpus's sentence vectors: one row per turn, dialogue by dialogue, which
+    are also the sentence ids.
 
     The env owns a private rng used only to pick which same-cluster candidate
     is uttered after a wrong choice; candidate sampling takes the caller's
@@ -62,7 +63,7 @@ class DialogueEnv:
         self,
         corpus: Corpus,
         sentence_model: ClusterModel,
-        table: WordEmbeddingTable,
+        vectors: np.ndarray,
         candidates: int = 3,
         rng: np.random.Generator | None = None,
     ):
@@ -70,13 +71,8 @@ class DialogueEnv:
             raise ValueError(f"candidates must be >= 1, got {candidates}")
         if len(corpus) == 0:
             raise ValueError("empty corpus")
-        if sentence_model.dim != table.dim:
-            raise ValueError(
-                f"cluster model dim {sentence_model.dim} != table dim {table.dim}"
-            )
         self.corpus = corpus
         self.model = sentence_model
-        self.table = table
         self.candidates = candidates
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -90,14 +86,16 @@ class DialogueEnv:
                 sentences.append(t.text)
                 sent_dialogue.append(di)
             self.dialogue_sentence_ids.append(ids)
+        if vectors.shape != (len(sentences), sentence_model.dim):
+            raise ValueError(
+                f"sentence vectors of shape {vectors.shape} for {len(sentences)} "
+                f"sentences and cluster model dim {sentence_model.dim}"
+            )
         self.sentences = sentences
         self.sent_dialogue = np.asarray(sent_dialogue, dtype=np.int64)
-        vectors = np.zeros((len(sentences), table.dim), dtype=np.float64)
-        for i, text in enumerate(sentences):
-            vectors[i] = embed_sentence(tokenize(text), table).values
-        self.vectors = vectors
         # One extra zero row so padded id matrices can gather in one shot.
-        self._vectors_ext = np.vstack([vectors, np.zeros((1, table.dim))])
+        self._vectors_ext = np.vstack([vectors, np.zeros((1, sentence_model.dim))])
+        self.vectors = self._vectors_ext[:-1]
         self.sent_action = clustering.assign_many(sentence_model, vectors)
 
     @property
@@ -109,15 +107,14 @@ class DialogueEnv:
         return len(self.sentences)
 
     def reset(self, dialogue: Dialogue) -> EnvState:
-        """Start an episode: history holds the env's opening sentence and the
-        next decision is the dialogue's first agent turn."""
+        """Start an episode: the history holds the env's opening sentence and
+        the next decision is the dialogue's first agent turn."""
         if dialogue.n_agent_turns == 0:
             raise ValueError(f"dialogue {dialogue.id!r} has no agent turn")
         di = self.corpus.index_of(dialogue.id)
         first = self.dialogue_sentence_ids[di][0]
         return EnvState(
             dialogue_ref=dialogue.id,
-            history=(self.sentences[first],),
             history_ids=(first,),
             turn_index=1,
             done=False,
@@ -194,7 +191,6 @@ class DialogueEnv:
         done = next_turn >= len(d.turns)
         new_state = EnvState(
             dialogue_ref=state.dialogue_ref,
-            history=tuple(self.sentences[i] for i in new_ids),
             history_ids=tuple(new_ids),
             turn_index=next_turn,
             done=done,
@@ -202,7 +198,7 @@ class DialogueEnv:
         return new_state, reward, done
 
     def batch_states(self, id_tuples: Sequence[tuple[int, ...]]):
-        """Materialize histories (as global-sentence-id tuples) into a padded
+        """Materialize histories (as sentence-id tuples) into a padded
         (B, T, m) batch plus its lengths vector. T = longest history (>= 1)."""
         lengths = np.array([len(t) for t in id_tuples], dtype=np.int64)
         t_max = max(1, int(lengths.max()) if len(lengths) else 1)

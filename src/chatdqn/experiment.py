@@ -24,7 +24,7 @@ import numpy as np
 from .agent import AgentConfig, evaluate, train
 from .checkpoint import load_qnetwork, save_agent_checkpoint
 from .clustering import (
-    dialogue_vector,
+    dialogue_vectors,
     fit,
     load_cluster_model,
     save_cluster_model,
@@ -39,7 +39,7 @@ from .corpus import (
     save_splits,
     split_corpus,
 )
-from .embeddings import embed_sentence, load_embeddings, tokenize
+from .embeddings import embed_corpus, load_embeddings
 from .environment import baseline_bounds
 from .reward_predictor import (
     DISTORTION_FRACTIONS,
@@ -63,18 +63,6 @@ __all__ = [
     "emit_learning_curve",
     "reward_study",
 ]
-
-STAGES = (
-    "ingest",
-    "embed",
-    "cluster_sentences",
-    "cluster_dialogues",
-    "split",
-    "train",
-    "evaluate",
-    "report",
-    "compare",
-)
 
 SEED_ENV_VAR = "CHATDQN_SEED"
 
@@ -228,6 +216,7 @@ class _Context:
     corpus: Corpus | None = None
     test_corpus: Corpus | None = None
     tables: dict = field(default_factory=dict)      # dim -> WordEmbeddingTable
+    embedded: dict = field(default_factory=dict)    # (corpus name, dim) -> embed_corpus
     smodels: dict = field(default_factory=dict)     # dim -> sentence ClusterModel
     dmodel: object = None                           # dialogue ClusterModel
     splits: list = field(default_factory=list)
@@ -321,14 +310,15 @@ def _stage_embed(ctx: _Context) -> None:
         )
 
 
-def _sentence_points(corpus: Corpus, table) -> np.ndarray:
-    return np.stack(
-        [
-            embed_sentence(tokenize(t.text), table).values
-            for d in corpus
-            for t in d.turns
-        ]
-    )
+def _embedded(ctx: _Context, name: str, dim: int):
+    """(vectors, offsets) of the "train" or "test" corpus under the dim
+    table, embedded on first use: a rerun whose stages are all done embeds
+    nothing."""
+    key = (name, dim)
+    if key not in ctx.embedded:
+        corpus = ctx.corpus if name == "train" else ctx.test_corpus
+        ctx.embedded[key] = embed_corpus(corpus, ctx.tables[dim])
+    return ctx.embedded[key]
 
 
 def _stage_cluster_sentences(ctx: _Context) -> None:
@@ -339,9 +329,9 @@ def _stage_cluster_sentences(ctx: _Context) -> None:
         if done:
             ctx.smodels[dim] = load_cluster_model(path)
             continue
-        points = _sentence_points(ctx.corpus, ctx.tables[dim])
+        vectors, _ = _embedded(ctx, "train", dim)
         model = fit(
-            points, cfg.agent.n_actions,
+            vectors, cfg.agent.n_actions,
             rng=np.random.default_rng([cfg.seed, 20, dim]),
         )
         save_cluster_model(model, path, extra={"config_hash": ctx.h})
@@ -358,7 +348,7 @@ def _stage_cluster_dialogues(ctx: _Context) -> None:
         ctx.dmodel = load_cluster_model(path)
         return
     base = cfg.dims[0]
-    points = np.stack([dialogue_vector(d, ctx.tables[base]) for d in ctx.corpus])
+    points = dialogue_vectors(*_embedded(ctx, "train", base))
     ctx.dmodel = fit(points, cfg.k_splits, rng=np.random.default_rng([cfg.seed, 21]))
     save_cluster_model(ctx.dmodel, path, extra={"config_hash": ctx.h, "base_dim": base})
     _write_marker(ctx, "cluster_dialogues", k=cfg.k_splits, base_dim=base)
@@ -373,10 +363,12 @@ def _stage_split(ctx: _Context) -> None:
         ctx.test_splits = load_splits(tpath) if os.path.exists(tpath) else []
         return
     base = cfg.dims[0]
-    ctx.splits = split_corpus(ctx.corpus, ctx.dmodel, ctx.tables[base])
+    ctx.splits = split_corpus(
+        ctx.corpus, ctx.dmodel, dialogue_vectors(*_embedded(ctx, "train", base)))
     save_splits(ctx.splits, spath, extra={"config_hash": ctx.h})
     if ctx.test_corpus is not None:
-        ctx.test_splits = split_corpus(ctx.test_corpus, ctx.dmodel, ctx.tables[base])
+        ctx.test_splits = split_corpus(
+            ctx.test_corpus, ctx.dmodel, dialogue_vectors(*_embedded(ctx, "test", base)))
         save_splits(ctx.test_splits, tpath, extra={"config_hash": ctx.h})
     sizes = [len(s.dialogue_ids) for s in ctx.splits]
     _say(ctx, f"split: sizes {sizes}")
@@ -410,7 +402,7 @@ def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
     os.makedirs(rdir, exist_ok=True)
     acfg = _agent_cfg(cfg, dim, split.split_id)
     report, agent_, _env = train(
-        ctx.corpus, acfg, ctx.smodels[dim], ctx.tables[dim],
+        ctx.corpus, acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
         dialogue_ids=split.dialogue_ids, config_hash=ctx.h, log=ctx.log,
     )
     _write_json(
@@ -484,14 +476,14 @@ def _stage_evaluate(ctx: _Context) -> None:
         )
         split = next(s for s in ctx.splits if s.split_id == sid)
         ev_train = evaluate(
-            net, ctx.corpus, acfg, ctx.smodels[dim], ctx.tables[dim],
+            net, ctx.corpus, acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
             dialogue_ids=split.dialogue_ids, seed=cfg.seed,
         )
         ev_test = None
         tsplit = test_by_id.get(sid)
         if ctx.test_corpus is not None and tsplit and len(tsplit.dialogue_ids) >= 2:
             ev_test = evaluate(
-                net, ctx.test_corpus, acfg, ctx.smodels[dim], ctx.tables[dim],
+                net, ctx.test_corpus, acfg, ctx.smodels[dim], _embedded(ctx, "test", dim)[0],
                 dialogue_ids=tsplit.dialogue_ids, seed=cfg.seed,
             )
         _write_json(
@@ -656,6 +648,20 @@ def _stage_compare(ctx: _Context) -> None:
     _say(ctx, f"compare: {path}")
 
 
+_STAGE_BODIES = {
+    "ingest": _stage_ingest,
+    "embed": _stage_embed,
+    "cluster_sentences": _stage_cluster_sentences,
+    "cluster_dialogues": _stage_cluster_dialogues,
+    "split": _stage_split,
+    "train": _stage_train,
+    "evaluate": _stage_evaluate,
+    "report": _stage_report,
+    "compare": _stage_compare,
+}
+STAGES = tuple(_STAGE_BODIES)
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -677,6 +683,14 @@ def _make_context(cfg: ExperimentConfig, log=None) -> _Context:
     return _Context(cfg=cfg, h=h, out=cfg.out_dir, log=log)
 
 
+def _run_stages(cfg: ExperimentConfig, log, until: str) -> _Context:
+    """Run (or resume) the stages up to and including `until`."""
+    ctx = _make_context(cfg, log)
+    for stage in STAGES[: STAGES.index(until) + 1]:
+        _run_stage(stage, lambda s=stage: _STAGE_BODIES[s](ctx))
+    return ctx
+
+
 def run_experiment(cfg: ExperimentConfig, log=None, until: str | None = None) -> str:
     """Execute the pipeline (or resume it) inside cfg.out_dir.
 
@@ -684,38 +698,14 @@ def run_experiment(cfg: ExperimentConfig, log=None, until: str | None = None) ->
     """
     if until is not None and until not in STAGES:
         raise ValueError(f"unknown stage {until!r}; stages are {STAGES}")
-    ctx = _make_context(cfg, log)
-    bodies = {
-        "ingest": _stage_ingest,
-        "embed": _stage_embed,
-        "cluster_sentences": _stage_cluster_sentences,
-        "cluster_dialogues": _stage_cluster_dialogues,
-        "split": _stage_split,
-        "train": _stage_train,
-        "evaluate": _stage_evaluate,
-        "report": _stage_report,
-        "compare": _stage_compare,
-    }
-    for stage in STAGES:
-        _run_stage(stage, lambda s=stage: bodies[s](ctx))
-        if stage == until:
-            break
-    return ctx.out
+    return _run_stages(cfg, log, until or STAGES[-1]).out
 
 
 def train_single(cfg: ExperimentConfig, dim: int, split_id: int, log=None) -> str:
     """Prepare data stages, then train exactly one (dim, split) run."""
     if dim not in cfg.dims:
         raise ValueError(f"dim {dim} not among configured embeddings {cfg.dims}")
-    ctx = _make_context(cfg, log)
-    for stage in ("ingest", "embed", "cluster_sentences", "cluster_dialogues", "split"):
-        _run_stage(stage, lambda s=stage: {
-            "ingest": _stage_ingest,
-            "embed": _stage_embed,
-            "cluster_sentences": _stage_cluster_sentences,
-            "cluster_dialogues": _stage_cluster_dialogues,
-            "split": _stage_split,
-        }[s](ctx))
+    ctx = _run_stages(cfg, log, "split")
     split = next((s for s in ctx.splits if s.split_id == split_id), None)
     if split is None:
         raise ValueError(f"no split {split_id}; splits are 0..{len(ctx.splits) - 1}")
@@ -740,13 +730,7 @@ def evaluate_checkpoint(
 
     The checkpoint's architecture must agree with the current config.
     """
-    ctx = _make_context(cfg, log)
-    for stage in ("ingest", "embed", "cluster_sentences"):
-        _run_stage(stage, lambda s=stage: {
-            "ingest": _stage_ingest,
-            "embed": _stage_embed,
-            "cluster_sentences": _stage_cluster_sentences,
-        }[s](ctx))
+    ctx = _run_stages(cfg, log, "cluster_sentences")
     ck_arch = None
     net = None
     err = None
@@ -761,15 +745,16 @@ def evaluate_checkpoint(
         raise err
     dim = ck_arch["embedding_dim"]
     if which == "train":
-        corpus = ctx.corpus
+        corpus, vectors = ctx.corpus, _embedded(ctx, "train", dim)[0]
     elif which == "test":
         if ctx.test_corpus is None:
             raise ValueError("config has no test_corpus")
-        corpus = ctx.test_corpus
+        corpus, vectors = ctx.test_corpus, _embedded(ctx, "test", dim)[0]
     else:
         corpus = load_corpus(which)
+        vectors, _ = embed_corpus(corpus, ctx.tables[dim])
     acfg = replace(cfg.agent, embedding_dim=dim)
-    ev = evaluate(net, corpus, acfg, ctx.smodels[dim], ctx.tables[dim], seed=cfg.seed)
+    ev = evaluate(net, corpus, acfg, ctx.smodels[dim], vectors, seed=cfg.seed)
     return {
         "checkpoint": checkpoint_path,
         "dialogues": which,
@@ -871,11 +856,7 @@ def reward_study(
     """
     if cfg.test_corpus is None:
         raise ValueError("reward study needs a test_corpus in the config")
-    ctx = _make_context(cfg, log)
-    for stage in ("ingest", "embed"):
-        _run_stage(stage, lambda s=stage: {
-            "ingest": _stage_ingest, "embed": _stage_embed,
-        }[s](ctx))
+    ctx = _run_stages(cfg, log, "embed")
     base = cfg.dims[0]
     pcfg = replace(cfg.predictor, seed=cfg.seed)
     rows = history_length_study(

@@ -27,13 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import StateMatrix
-
 __all__ = [
     "sigmoid",
     "glorot_uniform",
     "init_gru_params",
-    "gru_step",
     "gru_forward",
     "gru_backward",
     "dropout",
@@ -83,17 +80,6 @@ def _check_gru_shapes(p: dict, x_dim: int, h_dim: int) -> None:
             f"GRU parameter shapes {p['W_z'].shape}/{p['U_z'].shape} do not "
             f"match input dim {x_dim} and hidden dim {h_dim}"
         )
-
-
-def gru_step(p: dict, x_t, h_prev) -> np.ndarray:
-    """One GRU update on 1-D vectors (see the module docstring equations)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_gru_shapes(p, x_t.shape[0], h_prev.shape[0])
-    z = sigmoid(p["W_z"] @ x_t + p["U_z"] @ h_prev + p["b_z"])
-    r = sigmoid(p["W_r"] @ x_t + p["U_r"] @ h_prev + p["b_r"])
-    h_til = np.tanh(p["W_h"] @ x_t + p["U_h"] @ (r * h_prev) + p["b_h"])
-    return (1.0 - z) * h_prev + z * h_til
 
 
 def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
@@ -289,7 +275,22 @@ def _raise_on_bad_grads(grads: dict) -> None:
             raise FloatingPointError(f"non-finite gradient for parameter {name}")
 
 
-class QNetwork:
+class _Network:
+    """Parameter loading shared by the two networks, whose `params()` returns
+    flat name -> array views."""
+
+    def load_params(self, flat: dict) -> None:
+        """Copy `flat` into the parameters; names and shapes must match."""
+        own = self.params()
+        if set(own) != set(flat):
+            raise ValueError("parameter name mismatch")
+        for k, v in flat.items():
+            if own[k].shape != np.shape(v):
+                raise ValueError(f"parameter shape mismatch for {k}")
+            own[k][...] = v
+
+
+class QNetwork(_Network):
     """Two stacked GRU layers over the state matrix, dropout on the final
     hidden state (train mode only), then a dense head with one output per
     action."""
@@ -316,15 +317,6 @@ class QNetwork:
         out.update(_flat("gru2", self.gru2))
         out.update(_flat("head", self.head))
         return out
-
-    def load_params(self, flat: dict) -> None:
-        own = self.params()
-        if set(own) != set(flat):
-            raise ValueError("parameter name mismatch")
-        for k, v in flat.items():
-            if own[k].shape != v.shape:
-                raise ValueError(f"parameter shape mismatch for {k}")
-            own[k][...] = v
 
     def clone(self) -> "QNetwork":
         other = copy.copy(self)
@@ -362,12 +354,6 @@ class QNetwork:
                 rng: np.random.Generator | None = None) -> np.ndarray:
         Q, _ = self.forward_cached(X, lengths, train_mode, rng)
         return Q
-
-    def q_values(self, state: StateMatrix, train_mode: bool = False,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Q-vector (k,) for one StateMatrix."""
-        X = state.rows[None, :, :]
-        return self.forward(X, np.array([state.filled]), train_mode, rng)[0]
 
     def backward(self, cache: dict, dQ: np.ndarray) -> dict:
         """Flat parameter gradients from upstream dQ (B, k)."""
@@ -415,7 +401,7 @@ def qnet_loss_and_grads(net: QNetwork, X, lengths, actions, targets,
     return loss, net.backward(cache, dQ)
 
 
-class RewardRegressor:
+class RewardRegressor(_Network):
     """Two GRU layers with batch normalization between them (feature-wise,
     over the valid positions of the inter-layer hidden sequence) and on the
     final hidden state, then a scalar linear head."""
@@ -460,13 +446,6 @@ class RewardRegressor:
             "bn1_mean": self.bn1_mean, "bn1_var": self.bn1_var,
             "bn2_mean": self.bn2_mean, "bn2_var": self.bn2_var,
         }
-
-    def load_params(self, flat: dict) -> None:
-        own = self.params()
-        if set(own) != set(flat):
-            raise ValueError("parameter name mismatch")
-        for k, v in flat.items():
-            own[k][...] = v
 
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False,
                        update_running: bool = True):

@@ -17,7 +17,7 @@ import numpy as np
 from .agent import select_action
 from .clustering import ClusterModel, assign_many
 from .corpus import Corpus
-from .embeddings import WordEmbeddingTable, embed_history, embed_sentence, tokenize
+from .embeddings import WordEmbeddingTable, embed_corpus, embed_texts
 from .neuralnet import QNetwork
 
 __all__ = ["chat_repl"]
@@ -58,10 +58,10 @@ def chat_repl(
     sentences = [t.text for d in corpus for t in d.turns]
     if len(sentences) < candidates:
         raise ValueError(f"corpus has {len(sentences)} sentences; need >= {candidates}")
-    vectors = np.stack([embed_sentence(tokenize(s), table).values for s in sentences])
+    vectors, _ = embed_corpus(corpus, table)
     actions = assign_many(sentence_model, vectors)
 
-    history: list[str] = []
+    history: list[np.ndarray] = []  # one sentence vector per turn
     turn = 0
     with open(transcript_path, "w", encoding="utf-8") as fh:
 
@@ -94,23 +94,23 @@ def chat_repl(
                 break
             if not user.strip():
                 continue  # re-prompt, no state change
-            history.append(user)
+            history.append(embed_texts([user], table)[0])
             record("env", user)
 
-            picks = rng.choice(len(sentences), size=candidates, replace=False)
-            cand_sent = [sentences[int(i)] for i in picks]
-            cand_ids = [int(actions[int(i)]) for i in picks]
-            state = embed_history(history, table, max_len=history_len)
-            q = net.q_values(state, train_mode=False)
+            picks = [int(i) for i in rng.choice(len(sentences), size=candidates, replace=False)]
+            cand_sent = [sentences[i] for i in picks]
+            cand_ids = [int(actions[i]) for i in picks]
+            state = np.stack(history[-history_len:])[None]
+            q = net.forward(state, [state.shape[1]], train_mode=False)[0]
             output_fn("q: " + _format_q_line(q, cand_ids))
             for j, (s, a) in enumerate(zip(cand_sent, cand_ids)):
                 tag = "scripted" if j == 0 else "distractor"
                 output_fn(f"  [{a}] ({tag}) {s}")
             choice = select_action(q, cand_ids, 0.0, rng)
-            pool = [s for s, a in zip(cand_sent, cand_ids) if a == choice]
+            pool = [i for i, a in zip(picks, cand_ids) if a == choice]
             uttered = pool[0] if len(pool) == 1 else pool[int(rng.integers(len(pool)))]
-            output_fn(f"agent[{choice}]> {uttered}")
-            history.append(uttered)
-            record("agent", uttered, action_id=choice)
+            output_fn(f"agent[{choice}]> {sentences[uttered]}")
+            history.append(vectors[uttered])
+            record("agent", sentences[uttered], action_id=choice)
         fh.flush()
     return transcript_path

@@ -2,8 +2,9 @@
 episode reward of (possibly distorted) dialogues from their first h
 sentences, and report Pearson correlation as a function of h.
 
-Distortions are drawn once per corpus and shared across history lengths, so
-the h=50 histories literally contain the h=1 histories as prefixes.
+Distortions are drawn and embedded once per corpus and shared across history
+lengths, so the h=50 histories literally contain the h=1 histories as
+prefixes.
 """
 
 from __future__ import annotations
@@ -14,18 +15,16 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, DistortedDialogue, distort_dialogue
-from .embeddings import StateMatrix, WordEmbeddingTable, embed_sentence, tokenize
+from .embeddings import WordEmbeddingTable, embed_corpus
 from .neuralnet import Adam, RewardRegressor, regressor_loss_and_grads
 
 __all__ = [
     "DISTORTION_FRACTIONS",
     "HISTORY_LENGTHS",
     "PredictorConfig",
-    "RegressionExample",
     "StudyRow",
-    "build_regression_dataset",
     "distort_corpus",
-    "examples_from_distorted",
+    "history_prefixes",
     "train_predictor",
     "predict",
     "pearson",
@@ -60,14 +59,6 @@ class PredictorConfig:
             raise ValueError("epochs and hidden_dim must be >= 1")
 
 
-@dataclass(eq=False)
-class RegressionExample:
-    """First h sentences of a (distorted) dialogue, with its reward label."""
-
-    history: StateMatrix
-    target: int
-
-
 @dataclass(frozen=True)
 class StudyRow:
     h: int
@@ -89,71 +80,37 @@ def distort_corpus(
     return out
 
 
-def examples_from_distorted(
-    distorted: Sequence[DistortedDialogue],
-    table: WordEmbeddingTable,
-    h: int,
-) -> list[RegressionExample]:
-    """Embed the FIRST h sentences of each distorted dialogue (prefix view)."""
+def history_prefixes(vectors: np.ndarray, offsets, h: int):
+    """(X, lengths): the first h sentence vectors of each dialogue of an
+    `embed_corpus` result, as an (n, h, dim) batch zero-padded after each
+    dialogue's last sentence."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    out = []
-    for dd in distorted:
-        texts = [t.text for t in dd.turns[:h]]
-        rows = np.zeros((h, table.dim), dtype=np.float64)
-        for i, s in enumerate(texts):
-            rows[i] = embed_sentence(tokenize(s), table).values
-        out.append(
-            RegressionExample(
-                history=StateMatrix(rows=rows, filled=len(texts)),
-                target=dd.label,
-            )
-        )
-    return out
+    starts = np.asarray(offsets[:-1], dtype=np.int64)
+    lengths = np.minimum(np.diff(offsets), h).astype(np.int64)
+    X = np.zeros((len(starts), h, vectors.shape[1]), dtype=np.float64)
+    for i, (a, n) in enumerate(zip(starts, lengths)):
+        X[i, :n] = vectors[a : a + n]
+    return X, lengths
 
 
-def build_regression_dataset(
-    train_corpus: Corpus,
-    test_corpus: Corpus,
-    fractions: Sequence[float],
-    rng: np.random.Generator,
-    table: WordEmbeddingTable,
-    h: int,
-):
-    """(train_examples, test_examples), one example per (dialogue, fraction).
-
-    The train/test partition follows the two corpora; distractors for each
-    side are drawn from that side's own corpus. Distortion sampling happens
-    before any embedding, so the same rng state yields identical distortions
-    for every h.
-    """
-    train_d = distort_corpus(train_corpus, fractions, rng)
-    test_d = distort_corpus(test_corpus, fractions, rng)
-    return (
-        examples_from_distorted(train_d, table, h),
-        examples_from_distorted(test_d, table, h),
-    )
-
-
-def _stack(examples: Sequence[RegressionExample]):
-    X = np.stack([ex.history.rows for ex in examples])
-    lengths = np.array([ex.history.filled for ex in examples], dtype=np.int64)
-    y = np.array([ex.target for ex in examples], dtype=np.float64)
-    return X, lengths, y
+def _labels(distorted: Sequence[DistortedDialogue]) -> np.ndarray:
+    return np.array([dd.label for dd in distorted], dtype=np.float64)
 
 
 def train_predictor(
-    dataset: Sequence[RegressionExample], cfg: PredictorConfig
+    X: np.ndarray, lengths: np.ndarray, y: np.ndarray, cfg: PredictorConfig
 ) -> RewardRegressor:
-    """Minibatch MSE training with Adam; fully seeded.
+    """Minibatch MSE training with Adam on the padded histories X (with their
+    lengths) against the reward labels y; fully seeded.
 
     Train-mode batch norm needs >= 2 rows, so a batch of size 1 (singleton
     dataset, or a trailing remainder of 1) is duplicated: the mean gradient
     over the pair equals the single-example gradient.
     """
-    if not dataset:
+    n = len(X)
+    if n == 0:
         raise ValueError("empty dataset")
-    X, lengths, y = _stack(dataset)
     dim = X.shape[2]
     model = RewardRegressor(
         dim, cfg.hidden_dim, rng=np.random.default_rng([cfg.seed, 10]),
@@ -161,7 +118,6 @@ def train_predictor(
     )
     optimizer = Adam(model.params(), lr=cfg.learning_rate)
     order_rng = np.random.default_rng([cfg.seed, 11])
-    n = len(dataset)
     for _ in range(cfg.epochs):
         perm = order_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
@@ -175,9 +131,8 @@ def train_predictor(
     return model
 
 
-def predict(model: RewardRegressor, examples: Sequence[RegressionExample]) -> np.ndarray:
+def predict(model: RewardRegressor, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Eval-mode predictions (running batch-norm statistics, no dropout)."""
-    X, lengths, _ = _stack(examples)
     return model.forward(X, lengths, train_mode=False)
 
 
@@ -214,11 +169,12 @@ def history_length_study(
     rng = np.random.default_rng([cfg.seed, 100])
     train_d = distort_corpus(train_corpus, fractions, rng)
     test_d = distort_corpus(test_corpus, fractions, rng)
+    train_emb, test_emb = embed_corpus(train_d, table), embed_corpus(test_d, table)
+    y_train, y_true = _labels(train_d), _labels(test_d)
     rows = []
     for h in lengths:
-        train_ex = examples_from_distorted(train_d, table, h)
-        test_ex = examples_from_distorted(test_d, table, h)
-        _, _, y_true = _stack(test_ex)
+        X_train, len_train = history_prefixes(*train_emb, h)
+        X_test, len_test = history_prefixes(*test_emb, h)
         scores = []
         for run in range(cfg.runs):
             run_cfg = PredictorConfig(
@@ -227,8 +183,8 @@ def history_length_study(
                 learning_rate=cfg.learning_rate,
                 seed=stable_seed(cfg.seed, h, run),
             )
-            model = train_predictor(train_ex, run_cfg)
-            scores.append(pearson(y_true, predict(model, test_ex)))
+            model = train_predictor(X_train, len_train, y_train, run_cfg)
+            scores.append(pearson(y_true, predict(model, X_test, len_test)))
         rows.append(
             StudyRow(
                 h=h,

@@ -26,7 +26,7 @@ from chatdqn import (
 from chatdqn.agent import evaluate, select_action, train
 from chatdqn.clustering import fit
 from chatdqn.corpus import ingest_personachat, save_corpus
-from chatdqn.embeddings import embed_sentence, tokenize
+from chatdqn.embeddings import embed_corpus
 from chatdqn.environment import DialogueEnv, baseline_bounds
 from chatdqn.experiment import ExperimentConfig, run_experiment
 from chatdqn.neuralnet import QNetwork, qnet_loss_and_grads
@@ -36,16 +36,6 @@ from chatdqn.stats import wilcoxon_signed_rank
 from conftest import topic_cluster_model
 from test_neuralnet import finite_difference_check, tiny_batch
 from test_stats import oracle_wilcoxon
-
-
-def _sentence_points(corpus, table):
-    return np.stack(
-        [
-            embed_sentence(tokenize(t.text), table).values
-            for d in corpus.dialogues
-            for t in d.turns
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +53,8 @@ def test_criterion_1_random_policy_calibration():
     corpus = make_toy_corpus(240, topics=range(n_topics), seed=1)
     model = topic_cluster_model(table, n_topics)
     env = DialogueEnv(
-        corpus, model, table, candidates=3, rng=np.random.default_rng(100)
+        corpus, model, embed_corpus(corpus, table)[0], candidates=3,
+        rng=np.random.default_rng(100),
     )
     rng_pol = np.random.default_rng(101)
     zeros = np.zeros(model.k)
@@ -130,6 +121,7 @@ def test_criterion_2_bounds_bracketing():
     )
     net = QNetwork(8, 8, 6, dropout_rate=0.0, rng=np.random.default_rng(4))
     upper, lower, rand = baseline_bounds(corpus.dialogues, candidates=cfg.candidates)
+    vectors, _ = embed_corpus(corpus, table)
 
     def oracle(state, cands, env):
         return cands.action_ids[cands.truth_index]
@@ -145,10 +137,10 @@ def test_criterion_2_bounds_bracketing():
         return cands.action_ids[int(rng_rand.integers(len(cands.action_ids)))]
 
     results = {
-        "oracle": evaluate(net, corpus, cfg, model, table, seed=2, policy=oracle),
-        "anti": evaluate(net, corpus, cfg, model, table, seed=2, policy=anti_oracle),
-        "random": evaluate(net, corpus, cfg, model, table, seed=2, policy=random_policy),
-        "greedy-untrained": evaluate(net, corpus, cfg, model, table, seed=2),
+        "oracle": evaluate(net, corpus, cfg, model, vectors, seed=2, policy=oracle),
+        "anti": evaluate(net, corpus, cfg, model, vectors, seed=2, policy=anti_oracle),
+        "random": evaluate(net, corpus, cfg, model, vectors, seed=2, policy=random_policy),
+        "greedy-untrained": evaluate(net, corpus, cfg, model, vectors, seed=2),
     }
     for name, res in results.items():
         assert lower - 1e-12 <= res.mean_reward <= upper + 1e-12, (
@@ -175,16 +167,15 @@ def test_criterion_3_toy_scale_learning():
     table = make_toy_embeddings(20, dim=10, seed=77)
     train_corpus = make_toy_corpus(100, topics=range(10), seed=77, id_prefix="tr")
     test_corpus = make_toy_corpus(50, topics=range(10, 20), seed=78, id_prefix="te")
-    model = fit(
-        _sentence_points(train_corpus, table), 20,
-        rng=np.random.default_rng([77, 20]),
-    )
+    train_vectors, _ = embed_corpus(train_corpus, table)
+    test_vectors, _ = embed_corpus(test_corpus, table)
+    model = fit(train_vectors, 20, rng=np.random.default_rng([77, 20]))
     cfg = AgentConfig(
         n_actions=20, embedding_dim=10, hidden_dim=64, burn_in=500,
         batch_size=32, target_sync_period=1000, learn_steps=10_000,
         test_steps=3000, memory_capacity=10_000, seed=13,
     )
-    report, agent, _env = train(train_corpus, cfg, model, table)
+    report, agent, _env = train(train_corpus, cfg, model, train_vectors)
     _, _, rand = baseline_bounds(train_corpus.dialogues, candidates=cfg.candidates)
 
     final_ma = report.moving_avg[-1]
@@ -192,8 +183,8 @@ def test_criterion_3_toy_scale_learning():
         f"final moving average {final_ma:+.3f} does not beat random "
         f"baseline {rand:+.3f} by 1.5"
     )
-    ev_train = evaluate(agent.net, train_corpus, cfg, model, table, seed=1)
-    ev_test = evaluate(agent.net, test_corpus, cfg, model, table, seed=1)
+    ev_train = evaluate(agent.net, train_corpus, cfg, model, train_vectors, seed=1)
+    ev_test = evaluate(agent.net, test_corpus, cfg, model, test_vectors, seed=1)
     assert ev_train.mean_reward > ev_test.mean_reward, (
         f"train {ev_train.mean_reward:+.3f} <= test {ev_test.mean_reward:+.3f}"
     )

@@ -12,6 +12,7 @@ from chatdqn import (
     Transition,
     baseline_bounds,
     compute_targets,
+    embed_corpus,
     epsilon_at,
     evaluate,
     make_toy_corpus,
@@ -271,17 +272,17 @@ def train_world():
     table = make_toy_embeddings(n_topics, dim=6, seed=21)
     corpus = make_toy_corpus(20, topics=range(n_topics), seed=21)
     model = topic_cluster_model(table, n_topics)
-    return table, corpus, model
+    return table, corpus, model, embed_corpus(corpus, table)[0]
 
 
 def test_train_zero_steps_returns_initial_net(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         burn_in=0, learn_steps=0, batch_size=4, memory_capacity=50,
         target_sync_period=10, test_steps=100, seed=5,
     )
-    report, agent, _ = train(corpus, cfg, model, table)
+    report, agent, _ = train(corpus, cfg, model, vectors)
     assert report.episodes == 0
     assert report.steps == 0
     assert report.episode_rewards == []
@@ -291,15 +292,15 @@ def test_train_zero_steps_returns_initial_net(train_world):
 
 
 def test_train_deterministic_curves(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         burn_in=30, learn_steps=90, batch_size=8, memory_capacity=100,
         target_sync_period=40, test_steps=100, epsilon_decay_steps=40,
         seed=9,
     )
-    r1, a1, _ = train(corpus, cfg, model, table)
-    r2, a2, _ = train(corpus, cfg, model, table)
+    r1, a1, _ = train(corpus, cfg, model, vectors)
+    r2, a2, _ = train(corpus, cfg, model, vectors)
     assert r1.episode_rewards == r2.episode_rewards
     assert r1.moving_avg == r2.moving_avg
     for name, p in a1.net.params().items():
@@ -307,13 +308,13 @@ def test_train_deterministic_curves(train_world):
 
 
 def test_train_sync_trace_and_step_accounting(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         burn_in=20, learn_steps=100, batch_size=8, memory_capacity=100,
         target_sync_period=25, test_steps=100, seed=3,
     )
-    report, agent, _ = train(corpus, cfg, model, table)
+    report, agent, _ = train(corpus, cfg, model, vectors)
     assert report.steps >= cfg.learn_steps  # finishes the last episode
     expected = list(range(25, report.steps + 1, 25))
     assert list(agent.sync_history) == expected
@@ -325,13 +326,13 @@ def test_train_sync_trace_and_step_accounting(train_world):
 
 
 def test_target_net_frozen_between_syncs(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         burn_in=10, learn_steps=30, batch_size=4, memory_capacity=100,
         target_sync_period=10_000, test_steps=100, seed=4,
     )
-    _, agent, _ = train(corpus, cfg, model, table)
+    _, agent, _ = train(corpus, cfg, model, vectors)
     # never synced: target still equals the initial net, online has moved
     fresh = ChatDQNAgent(cfg)
     for name, p in agent.target.params().items():
@@ -347,7 +348,7 @@ def test_target_net_frozen_between_syncs(train_world):
 
 
 def test_single_transition_overfit(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=8,
         burn_in=0, learn_steps=1, batch_size=2, memory_capacity=10,
@@ -355,7 +356,7 @@ def test_single_transition_overfit(train_world):
         learning_rate=1e-2, dropout_rate=0.0,
     )
     agent = ChatDQNAgent(cfg)
-    env = DialogueEnv(corpus, model, table, candidates=3,
+    env = DialogueEnv(corpus, model, vectors, candidates=3,
                       rng=np.random.default_rng(30))
     state = env.reset(corpus.dialogues[0])
     cands = env.make_candidates(state, np.random.default_rng(31))
@@ -375,18 +376,19 @@ def test_small_run_learns_above_random(train_world):
     table = make_toy_embeddings(n_topics, dim=6, seed=22)
     corpus = make_toy_corpus(20, topics=range(n_topics), seed=22)
     model = topic_cluster_model(table, n_topics)
+    vectors, _ = embed_corpus(corpus, table)
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=24,
         burn_in=300, learn_steps=5000, batch_size=16, memory_capacity=5000,
         target_sync_period=500, test_steps=4000, seed=7,
         epsilon_decay_steps=2500,
     )
-    report, agent, env = train(corpus, cfg, model, table)
+    report, agent, env = train(corpus, cfg, model, vectors)
     _, _, rand = baseline_bounds(corpus.dialogues, candidates=cfg.candidates)
     assert report.moving_avg[-1] >= rand + 1.0
     # greedy eval on the training dialogues beats the training moving
     # average (memorization regime)
-    res = evaluate(agent.net, corpus, cfg, model, table, seed=1)
+    res = evaluate(agent.net, corpus, cfg, model, vectors, seed=1)
     assert res.mean_reward >= report.moving_avg[-1]
 
 
@@ -395,7 +397,7 @@ def test_small_run_learns_above_random(train_world):
 
 
 def test_evaluate_oracle_policy_attains_upper_bound(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         test_steps=10_000, burn_in=0, learn_steps=0, seed=0,
@@ -405,28 +407,44 @@ def test_evaluate_oracle_policy_attains_upper_bound(train_world):
     def oracle(state, cands, env):
         return cands.action_ids[cands.truth_index]
 
-    res = evaluate(net, corpus, cfg, model, table, seed=2, policy=oracle)
+    res = evaluate(net, corpus, cfg, model, vectors, seed=2, policy=oracle)
     upper, _, _ = baseline_bounds(corpus.dialogues, candidates=3)
     assert res.mean_reward == upper
 
 
 def test_evaluate_respects_step_budget(train_world):
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         test_steps=12, burn_in=0, learn_steps=0, seed=0,
     )
     net = QNetwork(table.dim, 6, model.k, rng=np.random.default_rng(1))
-    res = evaluate(net, corpus, cfg, model, table, seed=3)
+    res = evaluate(net, corpus, cfg, model, vectors, seed=3)
     assert res.truncated
     assert res.steps_used <= 12
     assert len(res.dialogue_ids) == len(res.episode_rewards)
 
 
+def test_evaluate_dialogue_ids_pick_their_sentence_rows(train_world):
+    # a split given by ids (in any order) sees the same sentence vectors as
+    # the split embedded on its own
+    table, corpus, model, vectors = train_world
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
+        test_steps=10_000, burn_in=0, learn_steps=0, seed=0,
+    )
+    net = QNetwork(table.dim, 6, model.k, rng=np.random.default_rng(4))
+    ids = [corpus.ids[i] for i in (7, 2, 11, 0)]
+    split = corpus.subset(ids)
+    by_ids = evaluate(net, corpus, cfg, model, vectors, dialogue_ids=ids, seed=8)
+    alone = evaluate(net, split, cfg, model, embed_corpus(split, table)[0], seed=8)
+    assert by_ids == alone
+
+
 def test_evaluate_candidates_paired_across_policies(train_world):
     # identical seeds -> identical candidate sequences -> the oracle and the
     # anti-oracle see mirrored rewards on every dialogue
-    table, corpus, model = train_world
+    table, corpus, model, vectors = train_world
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
         test_steps=10_000, burn_in=0, learn_steps=0, seed=0,
@@ -443,8 +461,8 @@ def test_evaluate_candidates_paired_across_policies(train_world):
         seen["b"].append(cands.sentences)
         return cands.action_ids[cands.truth_index]
 
-    evaluate(net, corpus, cfg, model, table, seed=5, policy=spy_a)
-    evaluate(net, corpus, cfg, model, table, seed=5, policy=spy_b)
+    evaluate(net, corpus, cfg, model, vectors, seed=5, policy=spy_a)
+    evaluate(net, corpus, cfg, model, vectors, seed=5, policy=spy_b)
     assert seen["a"] == seen["b"]
 
 
@@ -454,6 +472,7 @@ def test_evaluate_random_policy_matches_expectation():
     table = make_toy_embeddings(n_topics, dim=6, seed=23)
     corpus = make_toy_corpus(1500, topics=range(n_topics), seed=23)
     model = topic_cluster_model(table, n_topics)
+    vectors, _ = embed_corpus(corpus, table)
     cfg = AgentConfig(
         n_actions=model.k, embedding_dim=table.dim, hidden_dim=4,
         test_steps=10**6, burn_in=0, learn_steps=0, seed=0,
@@ -465,7 +484,7 @@ def test_evaluate_random_policy_matches_expectation():
         ids = sorted(set(cands.action_ids))
         return ids[int(rng.integers(len(ids)))]
 
-    res = evaluate(net, corpus, cfg, model, table, seed=6,
+    res = evaluate(net, corpus, cfg, model, vectors, seed=6,
                    policy=random_policy)
     assert len(res.episode_rewards) >= 500
     _, _, rand = baseline_bounds(corpus.dialogues, candidates=3)

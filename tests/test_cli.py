@@ -9,6 +9,7 @@ import os
 import pytest
 
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings, save_embeddings_file
+from chatdqn.checkpoint import load_checkpoint, save_checkpoint
 from chatdqn.cli import main
 from chatdqn.corpus import save_corpus
 from chatdqn.experiment import ExperimentConfig, save_experiment_config
@@ -169,6 +170,21 @@ def test_chat_cluster_count_mismatch(cli_world, tmp_path, monkeypatch, capsys):
     assert "cluster model" in capsys.readouterr().err
 
 
+def test_chat_non_finite_q_values_is_error(cli_world, tmp_path, monkeypatch, capsys):
+    root, cpath, out = cli_world
+    ck = load_checkpoint(os.path.join(_first_run_dir(out), "checkpoint.bin"))
+    ck.arrays["net.head.b"][0] = float("nan")
+    ckpt = str(tmp_path / "nan.bin")
+    save_checkpoint(ckpt, ck.kind, ck.arch, ck.arrays, ck.config_hash, ck.meta)
+    monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n:quit\n"))
+    rc = main(["chat", "--config", cpath, "--checkpoint", ckpt,
+               "--clusters", os.path.join(out, "sentence_clusters_dim6.json"),
+               "--transcript", str(tmp_path / "t.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
 # ----------------------------------------------------- data utilities
 
 def test_ingest_roundtrip(tmp_path, capsys):
@@ -242,6 +258,18 @@ def test_project_centroids_needs_clusters(cli_world, tmp_path, capsys):
                "--out", str(tmp_path / "xy.csv")])
     assert rc == 1
     assert "needs --clusters" in capsys.readouterr().err
+
+
+def test_project_centroids_missing_key_is_error(cli_world, tmp_path, capsys):
+    root, _, _ = cli_world
+    clusters = tmp_path / "no_centroids.json"
+    clusters.write_text('{"version": 1, "k": 2, "dim": 6}', encoding="utf-8")
+    rc = main(["project", "--what", "centroids", "--clusters", str(clusters),
+               "--embeddings", str(root / "emb6.txt"), "--dim", "6",
+               "--out", str(tmp_path / "xy.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'centroids'" in err
 
 
 def test_split_command(cli_world, tmp_path, capsys):

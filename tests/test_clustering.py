@@ -1,6 +1,10 @@
 """K-means++ / Lloyd / PCA against brute-force and analytic oracles."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,10 @@ from chatdqn import (
     ClusterModel,
     assign,
     assign_many,
-    dialogue_vector,
+    clustering,
+    dialogue_vectors,
+    embed_corpus,
+    embed_texts,
     euclidean,
     fit,
     kmeanspp_seed,
@@ -17,6 +24,7 @@ from chatdqn import (
     pca_project,
     save_cluster_model,
 )
+from chatdqn.clustering import InertiaIncreaseError
 from chatdqn.corpus import Dialogue, Turn
 
 from conftest import make_table
@@ -147,6 +155,45 @@ def test_fit_inertia_history_non_increasing():
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
 
+def _rising_inertia():
+    """Stand-in for _assign_and_repair whose inertia grows on every pass."""
+    passes = itertools.count(1)
+
+    def assign_and_repair(points, centroids):
+        labels = np.arange(len(points)) % len(centroids)
+        return labels, centroids, float(next(passes))
+
+    return assign_and_repair
+
+
+def test_fit_refuses_rising_inertia(monkeypatch):
+    monkeypatch.setattr(clustering, "_assign_and_repair", _rising_inertia())
+    pts = np.random.default_rng(9).normal(size=(12, 2))
+    with pytest.raises(InertiaIncreaseError, match="inertia increased"):
+        fit(pts, 3, np.random.default_rng(9), restarts=1)
+
+
+def test_fit_refuses_rising_inertia_under_python_O():
+    # the check must survive `python -O`, which strips assert statements
+    code = (
+        "import numpy as np\n"
+        "from chatdqn import clustering\n"
+        "from test_clustering import _rising_inertia\n"
+        "clustering._assign_and_repair = _rising_inertia()\n"
+        "try:\n"
+        "    clustering.fit(np.eye(4), 2, np.random.default_rng(0), restarts=1)\n"
+        "except clustering.InertiaIncreaseError:\n"
+        "    print('refused')\n"
+    )
+    tests_dir = pathlib.Path(__file__).parent
+    src_dir = pathlib.Path(clustering.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{src_dir}{os.pathsep}{tests_dir}"}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
+
+
 def test_fit_assigns_every_point_to_nearest_centroid():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(40, 2))
@@ -211,7 +258,7 @@ def test_assign_dim_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# dialogue_vector
+# dialogue_vectors
 
 
 def _dlg(*texts):
@@ -222,24 +269,41 @@ def _dlg(*texts):
     return Dialogue(id="d0", turns=turns)
 
 
+def _dialogue_vector(d, table):
+    (vec,) = dialogue_vectors(*embed_corpus([d], table))
+    return vec
+
+
 def test_dialogue_vector_single_sentence():
     table = make_table({"hi": [1.0, 0.0]})
     d = _dlg("hi", "hi")
-    assert np.allclose(dialogue_vector(d, table), [1.0, 0.0])
+    assert np.allclose(_dialogue_vector(d, table), [1.0, 0.0])
 
 
 def test_dialogue_vector_mean_of_two():
     table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     d = _dlg("a", "b")
-    assert np.allclose(dialogue_vector(d, table), [0.5, 0.5])
+    assert np.allclose(_dialogue_vector(d, table), [0.5, 0.5])
 
 
 def test_dialogue_vector_permutation_invariant():
     table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     assert np.allclose(
-        dialogue_vector(_dlg("a", "b"), table),
-        dialogue_vector(_dlg("b", "a"), table),
+        _dialogue_vector(_dlg("a", "b"), table),
+        _dialogue_vector(_dlg("b", "a"), table),
     )
+
+
+def test_dialogue_vectors_are_slice_means_of_sentence_rows():
+    # bit-identical to stacking each dialogue's own sentence vectors and
+    # averaging them, which is how dialogue vectors were first defined
+    table = make_table({"a": [1.0, 0.3], "b": [0.1, 1.0], "c": [-0.7, 0.2]})
+    dialogues = [_dlg("a", "b c", "c"), _dlg("b", "a a b", "c a", "b"), _dlg("c", "zzz")]
+    vectors, offsets = embed_corpus(dialogues, table)
+    got = dialogue_vectors(vectors, offsets)
+    for i, d in enumerate(dialogues):
+        own = np.stack([embed_texts([t.text], table)[0] for t in d.turns])
+        np.testing.assert_array_equal(got[i], own.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +363,13 @@ def test_cluster_model_roundtrip(tmp_path):
     labels_a = assign_many(model, pts)
     labels_b = assign_many(back, pts)
     assert np.array_equal(labels_a, labels_b)
+
+
+def test_cluster_model_missing_key_is_named(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"version": 1, "k": 1, "dim": 1}')
+    with pytest.raises(ValueError, match="'centroids'"):
+        load_cluster_model(str(path))
 
 
 def test_cluster_model_rejects_bad_version(tmp_path):

@@ -11,7 +11,9 @@ from chatdqn import (
     Dialogue,
     Turn,
     corpus_stats,
+    dialogue_vectors,
     distort_dialogue,
+    embed_corpus,
     ingest_personachat,
     load_corpus,
     load_splits,
@@ -25,6 +27,10 @@ from chatdqn import (
 )
 
 from conftest import topic_cluster_model
+
+
+def _points(corpus, table):
+    return dialogue_vectors(*embed_corpus(corpus, table))
 
 
 def _dialogue(did, n_turns):
@@ -142,7 +148,7 @@ def test_split_corpus_is_a_partition():
     table = make_toy_embeddings(n_topics, dim=6, seed=0)
     corpus = make_toy_corpus(20, topics=range(n_topics), seed=0)
     model = topic_cluster_model(table, n_topics)
-    splits = split_corpus(corpus, model, table)
+    splits = split_corpus(corpus, model, _points(corpus, table))
     assert len(splits) == n_topics
     all_ids = [i for s in splits for i in s.dialogue_ids]
     assert sorted(all_ids) == sorted(d.id for d in corpus.dialogues)
@@ -155,7 +161,7 @@ def test_split_corpus_groups_by_topic():
     table = make_toy_embeddings(n_topics, dim=6, seed=1)
     corpus = make_toy_corpus(12, topics=range(n_topics), seed=1)
     model = topic_cluster_model(table, n_topics)
-    splits = split_corpus(corpus, model, table)
+    splits = split_corpus(corpus, model, _points(corpus, table))
     by_id = {s.split_id: set(s.dialogue_ids) for s in splits}
     # dialogues of one topic never straddle two splits
     for d in corpus.dialogues:
@@ -168,13 +174,20 @@ def test_splits_roundtrip(tmp_path):
     table = make_toy_embeddings(n_topics, dim=6, seed=2)
     corpus = make_toy_corpus(9, topics=range(n_topics), seed=2)
     model = topic_cluster_model(table, n_topics)
-    splits = split_corpus(corpus, model, table)
+    splits = split_corpus(corpus, model, _points(corpus, table))
     path = tmp_path / "splits.json"
     save_splits(splits, str(path))
     back = load_splits(str(path))
     assert [(s.split_id, s.dialogue_ids) for s in back] == [
         (s.split_id, s.dialogue_ids) for s in splits
     ]
+
+
+def test_load_splits_missing_key_is_named(tmp_path):
+    path = tmp_path / "splits.json"
+    path.write_text('{"version": 1}')
+    with pytest.raises(ValueError, match="'splits'"):
+        load_splits(str(path))
 
 
 # ---------------------------------------------------------------------------

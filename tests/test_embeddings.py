@@ -1,12 +1,16 @@
-"""Tokenizer, embedding table, sentence vectors, state matrices."""
+"""Tokenizer, embedding table, sentence vectors, history states."""
 
 import numpy as np
 import pytest
 
 from chatdqn import (
-    StateMatrix,
-    embed_history,
-    embed_sentence,
+    ClusterModel,
+    Corpus,
+    Dialogue,
+    DialogueEnv,
+    Turn,
+    embed_corpus,
+    embed_texts,
     load_embeddings,
     tokenize,
 )
@@ -42,35 +46,28 @@ def test_tokenize_interior_punctuation_survives():
 
 
 # ---------------------------------------------------------------------------
-# embed_sentence
+# embed_texts
 
 
 def test_embed_single_word():
     table = make_table({"hi": [1.0, 0.0]})
-    sv = embed_sentence(["hi"], table)
-    assert np.allclose(sv.values, [1.0, 0.0])
-    assert sv.word_count == 1
+    assert np.allclose(embed_texts(["hi"], table), [[1.0, 0.0]])
 
 
 def test_embed_mean_of_two():
     table = make_table({"hi": [1.0, 0.0], "yo": [0.0, 2.0]})
-    sv = embed_sentence(["hi", "yo"], table)
-    assert np.allclose(sv.values, [0.5, 1.0])
-    assert sv.word_count == 2
+    assert np.allclose(embed_texts(["hi yo"], table), [[0.5, 1.0]])
 
 
 def test_embed_all_oov_is_zero():
     table = make_table({"hi": [1.0, 0.0]})
-    sv = embed_sentence(["zzz"], table)
-    assert np.all(sv.values == 0.0)
-    assert sv.word_count == 0
+    assert np.all(embed_texts(["zzz", ""], table) == 0.0)
 
 
 def test_embed_skips_oov_tokens():
     table = make_table({"hi": [2.0, 4.0]})
-    sv = embed_sentence(["hi", "zzz"], table)
-    assert np.allclose(sv.values, [2.0, 4.0])  # mean over in-vocab only
-    assert sv.word_count == 1
+    # mean over in-vocab tokens only
+    assert np.allclose(embed_texts(["hi zzz"], table), [[2.0, 4.0]])
 
 
 def test_embed_permutation_invariant():
@@ -78,8 +75,7 @@ def test_embed_permutation_invariant():
     words = {f"w{i}": rng.normal(size=4).tolist() for i in range(6)}
     table = make_table(words)
     toks = list(words)
-    a = embed_sentence(toks, table).values
-    b = embed_sentence(toks[::-1], table).values
+    a, b = embed_texts([" ".join(toks), " ".join(toks[::-1])], table)
     assert np.allclose(a, b)
 
 
@@ -88,50 +84,82 @@ def test_embed_bounded_by_max_coefficient():
     words = {f"w{i}": rng.normal(size=5).tolist() for i in range(8)}
     table = make_table(words)
     bound = np.abs(table.matrix).max()
-    sv = embed_sentence(list(words), table)
-    assert np.all(np.abs(sv.values) <= bound + 1e-12)
+    vec = embed_texts([" ".join(words)], table)
+    assert np.all(np.abs(vec) <= bound + 1e-12)
+
+
+def test_embed_texts_rows_follow_input_order_with_repeats():
+    table = make_table({"a": [1.0, 3.0], "b": [2.0, -1.0]})
+    texts = ["a b", "b", "a b", "A, b!", "zzz"]
+    got = embed_texts(texts, table)
+    assert got.shape == (5, 2)
+    for i, text in enumerate(texts):
+        # the per-sentence reference: mean of the in-vocabulary word vectors
+        found = [table.lookup(t) for t in tokenize(text) if t in table]
+        want = np.mean(found, axis=0) if found else np.zeros(2)
+        np.testing.assert_array_equal(got[i], want)
 
 
 # ---------------------------------------------------------------------------
-# embed_history
+# embed_corpus
+
+
+def dlg(did, *texts):
+    return Dialogue(id=did, turns=tuple(
+        Turn("env" if i % 2 == 0 else "agent", t) for i, t in enumerate(texts)))
+
+
+def test_embed_corpus_rows_and_offsets():
+    table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    corpus = Corpus([dlg("x", "a", "b", "a b"), dlg("y", "b", "a")])
+    vectors, offsets = embed_corpus(corpus, table)
+    assert list(offsets) == [0, 3, 5]
+    texts = [t.text for d in corpus for t in d.turns]
+    np.testing.assert_array_equal(vectors, embed_texts(texts, table))
+
+
+# ---------------------------------------------------------------------------
+# history states: a history is a tuple of sentence ids, materialized into
+# rows of the embedded corpus by DialogueEnv.batch_states
+
+
+def _history_env(table, *dialogues):
+    corpus = Corpus([dlg(f"d{i}", *texts) for i, texts in enumerate(dialogues)])
+    vectors, _ = embed_corpus(corpus, table)
+    model = ClusterModel(k=1, dim=table.dim,
+                         centroids=np.zeros((1, table.dim)), inertia=0.0)
+    return DialogueEnv(corpus, model, vectors)
 
 
 def test_history_padding():
     table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-    sm = embed_history(["a", "b"], table, max_len=50)
-    assert isinstance(sm, StateMatrix)
-    assert sm.rows.shape == (50, 2)
-    assert sm.filled == 2
-    assert np.allclose(sm.rows[0], [1.0, 0.0])
-    assert np.allclose(sm.rows[1], [0.0, 1.0])
-    assert np.all(sm.rows[2:] == 0.0)
-
-
-def test_history_truncation_keeps_most_recent():
-    # 60 distinct one-word sentences; rows must hold sentences 11..60
-    entries = {f"w{i:02d}": [float(i), 0.0] for i in range(60)}
-    table = make_table(entries)
-    history = [f"w{i:02d}" for i in range(60)]
-    sm = embed_history(history, table, max_len=50)
-    assert sm.filled == 50
-    assert sm.rows[0, 0] == 10.0  # sentence index 10 is the 11th sentence
-    assert sm.rows[49, 0] == 59.0
+    env = _history_env(table, ("a", "b"), ("b", "a", "b", "a", "b"))
+    short, long = env.dialogue_sentence_ids
+    X, lengths = env.batch_states([tuple(short), tuple(long)])
+    assert X.shape == (2, 5, 2)
+    assert list(lengths) == [2, 5]
+    assert np.allclose(X[0, 0], [1.0, 0.0])
+    assert np.allclose(X[0, 1], [0.0, 1.0])
+    assert np.all(X[0, 2:] == 0.0)
 
 
 def test_history_empty():
     table = make_table({"a": [1.0]})
-    sm = embed_history([], table, max_len=50)
-    assert sm.filled == 0
-    assert np.all(sm.rows == 0.0)
+    env = _history_env(table, ("a", "a"))
+    X, lengths = env.batch_states([()])
+    assert X.shape == (1, 1, 1)
+    assert lengths[0] == 0
+    assert np.all(X == 0.0)
 
 
 def test_history_rows_match_embed_sentence():
     table = make_table({"a": [1.0, 3.0], "b": [2.0, -1.0]})
     history = ["a b", "b", "a"]
-    sm = embed_history(history, table, max_len=10)
+    env = _history_env(table, history)
+    X, _ = env.batch_states([tuple(env.dialogue_sentence_ids[0])])
     for i, s in enumerate(history):
-        ref = embed_sentence(tokenize(s), table).values
-        assert np.allclose(sm.rows[i], ref)
+        ref = np.mean([table.lookup(t) for t in tokenize(s)], axis=0)
+        assert np.allclose(X[0, i], ref)
 
 
 # ---------------------------------------------------------------------------

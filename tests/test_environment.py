@@ -9,7 +9,8 @@ from chatdqn import (
     DialogueEnv,
     Turn,
     baseline_bounds,
-    embed_history,
+    embed_corpus,
+    embed_texts,
     episode_reward,
     make_toy_corpus,
     make_toy_embeddings,
@@ -24,9 +25,14 @@ def world():
     table = make_toy_embeddings(n_topics, dim=8, seed=11)
     corpus = make_toy_corpus(20, topics=range(n_topics), seed=11)
     model = topic_cluster_model(table, n_topics)
-    env = DialogueEnv(corpus, model, table, candidates=3,
+    vectors, _ = embed_corpus(corpus, table)
+    env = DialogueEnv(corpus, model, vectors, candidates=3,
                       rng=np.random.default_rng(0))
     return table, corpus, model, env
+
+
+def _texts(env, state):
+    return [env.sentences[i] for i in state.history_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +43,7 @@ def test_reset_history_is_opening_sentence(world):
     table, corpus, model, env = world
     d = corpus.dialogues[0]
     state = env.reset(d)
-    assert state.history == (d.turns[0].text,)
+    assert _texts(env, state) == [d.turns[0].text]
     assert not state.done
     assert state.turn_index == 1  # the first agent turn
 
@@ -46,7 +52,6 @@ def test_reset_idempotent(world):
     _, corpus, _, env = world
     d = corpus.dialogues[1]
     s1, s2 = env.reset(d), env.reset(d)
-    assert s1.history == s2.history
     assert s1.turn_index == s2.turn_index
     assert s1.history_ids == s2.history_ids
 
@@ -56,9 +61,9 @@ def test_reset_state_embedding_matches_embed_history(world):
     d = corpus.dialogues[2]
     state = env.reset(d)
     X, lengths = env.batch_states([state.history_ids])
-    ref = embed_history(list(state.history), table, max_len=X.shape[1])
-    assert lengths[0] == ref.filled == 1
-    assert np.allclose(X[0], ref.rows)
+    assert X.shape == (1, 1, table.dim)
+    assert lengths[0] == 1
+    np.testing.assert_array_equal(X[0], embed_texts(_texts(env, state), table))
 
 
 def test_reset_rejects_env_only_dialogue(world):
@@ -111,8 +116,8 @@ def test_candidates_truth_position_varies(world):
 
 
 def test_candidates_single_candidate_config(world):
-    table, corpus, model, _ = world
-    env1 = DialogueEnv(corpus, model, table, candidates=1,
+    table, corpus, model, env = world
+    env1 = DialogueEnv(corpus, model, env.vectors, candidates=1,
                        rng=np.random.default_rng(4))
     state = env1.reset(corpus.dialogues[0])
     cands = env1.make_candidates(state, np.random.default_rng(5))
@@ -137,10 +142,11 @@ def test_step_truth_cluster_rewards_plus_one(world):
     nxt, r, done = env.step(state, truth_id, cands)
     assert r == 1
     # uttered sentence is the scripted truth, then the env's scripted reply
-    assert nxt.history[1] == cands.sentences[cands.truth_index]
-    assert nxt.history[1] == d.turns[1].text
+    history = _texts(env, nxt)
+    assert history[1] == cands.sentences[cands.truth_index]
+    assert history[1] == d.turns[1].text
     if len(d.turns) > 2:
-        assert nxt.history[2] == d.turns[2].text
+        assert history[2] == d.turns[2].text
 
 
 def test_step_wrong_cluster_rewards_minus_one(world):
@@ -157,13 +163,13 @@ def test_step_wrong_cluster_rewards_minus_one(world):
         nxt, r, done = env.step(state, wrong[0], cands)
         assert r == -1
         # uttered sentence comes from the chosen cluster's candidates
-        uttered = nxt.history[1]
+        history = _texts(env, nxt)
         pool = [s for s, a in zip(cands.sentences, cands.action_ids)
                 if a == wrong[0]]
-        assert uttered in pool
+        assert history[1] in pool
         # the env reply still follows the script
         if len(d.turns) > 2:
-            assert nxt.history[2] == d.turns[2].text
+            assert history[2] == d.turns[2].text
         return
     pytest.fail("never saw a collision-free candidate set")
 
@@ -171,9 +177,9 @@ def test_step_wrong_cluster_rewards_minus_one(world):
 def test_step_collision_rule_rewards_truth_cluster(world):
     # one cluster only: every candidate collides with the truth; choosing
     # that cluster is a +1 because the reward keys on the truth's cluster id
-    table, corpus, _, _ = world
+    table, corpus, _, env = world
     degenerate = topic_cluster_model(table, 1)
-    env1 = DialogueEnv(corpus, degenerate, table, candidates=3,
+    env1 = DialogueEnv(corpus, degenerate, env.vectors, candidates=3,
                        rng=np.random.default_rng(8))
     state = env1.reset(corpus.dialogues[0])
     cands = env1.make_candidates(state, np.random.default_rng(9))
@@ -204,7 +210,7 @@ def test_full_episode_history_and_termination(world):
         rewards.append(r)
     assert len(rewards) == d.n_agent_turns
     assert all(r == 1 for r in rewards)
-    assert len(state.history) == len(d.turns)
+    assert _texts(env, state) == [t.text for t in d.turns]
     assert episode_reward(rewards) == d.n_agent_turns
     # all-wrong mirror: episode reward is -#agent turns
     assert episode_reward([-r for r in rewards]) == -d.n_agent_turns
@@ -220,9 +226,34 @@ def test_batch_states_matches_embed_history(world):
         state, _, _ = env.step(state, cands.action_ids[cands.truth_index],
                                cands)
     X, lengths = env.batch_states([state.history_ids])
-    ref = embed_history(list(state.history), table, max_len=X.shape[1])
-    assert lengths[0] == ref.filled
-    assert np.allclose(X[0], ref.rows)
+    texts = _texts(env, state)
+    assert X.shape == (1, len(texts), table.dim)
+    assert lengths[0] == len(texts)
+    # rows match the per-sentence embedding of each history sentence
+    np.testing.assert_array_equal(X[0], embed_texts(texts, table))
+
+
+def test_batch_states_pads_with_zero_rows(world):
+    table, corpus, _, env = world
+    d = corpus.dialogues[10]
+    ids = env.reset(d).history_ids + (5, 7)
+    X, lengths = env.batch_states([ids, ids[:1], ()])
+    assert X.shape == (3, 3, table.dim)
+    assert list(lengths) == [3, 1, 0]
+    np.testing.assert_array_equal(X[0], env.vectors[list(ids)])
+    np.testing.assert_array_equal(X[1, 0], X[0, 0])
+    assert np.all(X[1, 1:] == 0.0)
+    assert np.all(X[2] == 0.0)
+    # a batch of one empty history still has one (zero) time step
+    X, lengths = env.batch_states([()])
+    assert X.shape == (1, 1, table.dim) and lengths[0] == 0
+    assert np.all(X == 0.0)
+
+
+def test_env_rejects_vectors_of_another_corpus(world):
+    _, corpus, model, env = world
+    with pytest.raises(ValueError, match="sentence vectors"):
+        DialogueEnv(corpus, model, env.vectors[:-1])
 
 
 # ---------------------------------------------------------------------------

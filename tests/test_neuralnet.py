@@ -18,7 +18,6 @@ from chatdqn import (
     dropout,
     glorot_uniform,
     gru_forward,
-    gru_step,
     init_gru_params,
     qnet_loss_and_grads,
     regressor_loss_and_grads,
@@ -80,14 +79,21 @@ def tiny_batch(rng, B, L, m, lengths=None):
 
 
 # ---------------------------------------------------------------------------
-# gru_step pinned examples
+# single GRU steps, pinned (gru_forward on one row)
+
+
+def gru_steps(p, *xs):
+    """Hidden state after each of the input vectors xs, starting from h=0."""
+    X = np.array(xs, dtype=np.float64)[None]
+    H, _ = gru_forward(p, X, np.array([len(xs)]))
+    return H[0]
 
 
 def test_gru_step_all_zero_params():
     p = init_gru_params(np.random.default_rng(0), 3, 2)
     for k in p:
         p[k][...] = 0.0
-    h = gru_step(p, np.array([5.0, -2.0, 1.0]), np.zeros(2))
+    (h,) = gru_steps(p, [5.0, -2.0, 1.0])
     assert np.allclose(h, 0.0)
 
 
@@ -98,26 +104,36 @@ def test_gru_step_open_gate_scalar():
         p[k][...] = 0.0
     p["b_z"][0] = 50.0
     p["W_h"][0, 0] = 1.0
-    h = gru_step(p, np.array([1.0]), np.zeros(1))
+    (h,) = gru_steps(p, [1.0])
     assert h[0] == pytest.approx(math.tanh(1.0), abs=1e-15)
 
 
 def test_gru_step_closed_gate_is_identity():
+    # the update gate follows x[0]: open on the first step (h moves off
+    # zero), shut on the second (h is carried through unchanged)
     p = init_gru_params(np.random.default_rng(1), 2, 3)
-    p["b_z"][...] = -50.0
-    p["W_z"][...] = 0.0
+    p["b_z"][...] = 0.0
     p["U_z"][...] = 0.0
-    h_prev = np.array([0.3, -0.7, 1.1])
-    h = gru_step(p, np.array([2.0, -1.0]), h_prev)
-    assert np.allclose(h, h_prev, atol=1e-15)
+    p["W_z"][...] = 0.0
+    p["W_z"][:, 0] = 50.0
+    x1, x2 = np.array([1.0, 0.5]), np.array([-1.0, 2.0])
+    h1, h2 = gru_steps(p, x1, x2)
+    assert np.all(np.abs(h1) > 1e-3)
+    assert np.allclose(h2, h1, atol=1e-15)
+    ref1 = ref_gru_cell(p, x1, np.zeros(3))
+    assert np.allclose(h1, ref1, atol=1e-12)
+    assert np.allclose(h2, ref_gru_cell(p, x2, ref1), atol=1e-12)
 
 
 def test_gru_step_matches_scalar_reference():
     rng = np.random.default_rng(2)
     p = init_gru_params(rng, 3, 4)
-    x = rng.normal(size=3)
-    h = rng.normal(size=4)
-    assert np.allclose(gru_step(p, x, h), ref_gru_cell(p, x, h), atol=1e-12)
+    x1, x2 = rng.normal(size=3), rng.normal(size=3)
+    h1, h2 = gru_steps(p, x1, x2)
+    ref1 = ref_gru_cell(p, x1, np.zeros(4))
+    assert np.allclose(h1, ref1, atol=1e-12)
+    # the second step starts from a nonzero hidden state
+    assert np.allclose(h2, ref_gru_cell(p, x2, ref1), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +378,19 @@ def test_regressor_eval_forward_matches_scalar_reference():
         hn = bn_eval(h2, "bn2")
         ref = float(model.head["W"][0] @ hn + model.head["b"][0])
         assert preds[i] == pytest.approx(ref, abs=1e-10)
+
+
+def test_load_params_checks_names_and_shapes():
+    for net in (QNetwork(2, 3, 2, rng=np.random.default_rng(30)),
+                RewardRegressor(2, 3, rng=np.random.default_rng(31))):
+        flat = {k: v.copy() for k, v in net.params().items()}
+        net.load_params(flat)
+        with pytest.raises(ValueError, match="name mismatch"):
+            net.load_params({k: v for k, v in flat.items() if k != "head.b"})
+        # a (1,) array would broadcast into any vector; it must be refused
+        name = "bn1.gamma" if isinstance(net, RewardRegressor) else "head.b"
+        with pytest.raises(ValueError, match=f"shape mismatch for {name}"):
+            net.load_params({**flat, name: np.zeros(1)})
 
 
 def test_regressor_train_needs_batch_of_two():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chatdqn.corpus import Corpus
+from chatdqn.embeddings import embed_texts
 from chatdqn.neuralnet import QNetwork
 from chatdqn.repl import chat_repl
 
@@ -142,3 +143,19 @@ def test_transcript_written_incrementally(repl_world, tmp_path):
     lines = _read_transcript(path)
     assert len(lines) == 6
     assert [l["speaker"] for l in lines] == ["env", "agent"] * 3
+
+
+def test_state_keeps_most_recent_sentences(repl_world, tmp_path):
+    # with history_len=2 the second turn's state is (agent reply, new user
+    # line): the opening user line has dropped out
+    net, model, table, corpus = repl_world
+    user = ["t00w01 t00w02 t00w03", "t01w04 t01w05"]
+    out = run_session(user + [":quit"], net, model, table, corpus,
+                      tmp_path / "t.jsonl", history_len=2)
+    q_lines = [o for o in out if o.startswith("q: ")]
+    reply = next(o for o in out if o.startswith("agent[")).split("> ", 1)[1]
+    for q_line, texts in ((q_lines[0], user[:1]), (q_lines[1], [reply, user[1]])):
+        X = embed_texts(texts, table)[None]
+        q = net.forward(X, [len(texts)], train_mode=False)[0]
+        shown = [float(e.rstrip("*").split(":")[1]) for e in q_line[3:].split()]
+        np.testing.assert_allclose(shown, q, atol=5e-4)

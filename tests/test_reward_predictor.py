@@ -10,18 +10,16 @@ from chatdqn import make_toy_corpus, make_toy_embeddings
 from chatdqn.reward_predictor import (
     DISTORTION_FRACTIONS,
     PredictorConfig,
-    RegressionExample,
     StudyRow,
-    build_regression_dataset,
     distort_corpus,
-    examples_from_distorted,
     history_length_study,
+    history_prefixes,
     pearson,
     predict,
     stable_seed,
     train_predictor,
 )
-from chatdqn.embeddings import embed_sentence, tokenize
+from chatdqn.embeddings import embed_corpus, embed_texts
 from chatdqn.neuralnet import regressor_loss_and_grads
 
 
@@ -32,6 +30,13 @@ def tiny_world():
     return table, corpus
 
 
+def _examples(distorted, table, h):
+    """(X, lengths, y): the h-prefix view of the distorted dialogues, as the
+    history-length study builds it."""
+    X, lengths = history_prefixes(*embed_corpus(distorted, table), h)
+    return X, lengths, np.array([dd.label for dd in distorted], dtype=np.float64)
+
+
 # ------------------------------------------------------------ datasets
 
 def test_dataset_count_is_dialogues_times_fractions(tiny_world):
@@ -39,8 +44,9 @@ def test_dataset_count_is_dialogues_times_fractions(tiny_world):
     rng = np.random.default_rng(0)
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS, rng)
     assert len(distorted) == 10 * 5
-    examples = examples_from_distorted(distorted, table, h=5)
-    assert len(examples) == 50
+    X, lengths, y = _examples(distorted, table, h=5)
+    assert X.shape == (50, 5, table.dim)
+    assert lengths.shape == y.shape == (50,)
 
 
 def test_phi_zero_target_is_agent_turn_count(tiny_world):
@@ -78,50 +84,37 @@ def test_h1_histories_are_prefixes_of_h50(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS,
                                np.random.default_rng(4))
-    ex1 = examples_from_distorted(distorted, table, h=1)
-    ex50 = examples_from_distorted(distorted, table, h=50)
-    for e1, e50 in zip(ex1, ex50):
-        assert e1.target == e50.target
-        np.testing.assert_array_equal(e1.history.rows[0], e50.history.rows[0])
-        assert e1.history.filled == 1
-        assert e50.history.filled == min(50, e50.history.filled)
+    X1, len1, y1 = _examples(distorted, table, h=1)
+    X50, len50, y50 = _examples(distorted, table, h=50)
+    np.testing.assert_array_equal(y1, y50)
+    np.testing.assert_array_equal(X1[:, 0], X50[:, 0])
+    assert np.all(len1 == 1)
+    assert list(len50) == [len(dd.turns) for dd in distorted]
 
 
 def test_example_rows_match_sentence_embedding(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(5))
-    ex = examples_from_distorted(distorted[:1], table, h=3)[0]
+    X, _, _ = _examples(distorted[:1], table, h=3)
     d = corpus.dialogues[0]
-    for i in range(3):
-        want = embed_sentence(tokenize(d.turns[i].text), table).values
-        np.testing.assert_array_equal(ex.history.rows[i], want)
-    assert ex.history.rows.shape == (3, table.dim)
+    want = embed_texts([t.text for t in d.turns[:3]], table)
+    np.testing.assert_array_equal(X[0], want)
+    assert X.shape == (1, 3, table.dim)
 
 
 def test_examples_pad_short_dialogues_with_zeros(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(6))
     n_turns = len(corpus.dialogues[0].turns)
-    ex = examples_from_distorted(distorted[:1], table, h=n_turns + 7)[0]
-    assert ex.history.filled == n_turns
-    assert np.all(ex.history.rows[n_turns:] == 0.0)
-
-
-def test_build_regression_dataset_splits(tiny_world):
-    table, corpus = tiny_world
-    train_c = make_toy_corpus(6, topics=range(4), seed=11, id_prefix="tr")
-    test_c = make_toy_corpus(4, topics=range(4), seed=12, id_prefix="te")
-    train_ex, test_ex = build_regression_dataset(
-        train_c, test_c, DISTORTION_FRACTIONS, np.random.default_rng(7),
-        table, h=5)
-    assert len(train_ex) == 6 * 5
-    assert len(test_ex) == 4 * 5
+    X, lengths, _ = _examples(distorted[:1], table, h=n_turns + 7)
+    assert lengths[0] == n_turns
+    assert np.all(X[0, n_turns:] == 0.0)
 
 
 def test_h_must_be_positive(tiny_world):
     table, corpus = tiny_world
     with pytest.raises(ValueError):
-        examples_from_distorted([], table, h=0)
+        history_prefixes(*embed_corpus(corpus, table), h=0)
 
 
 # ------------------------------------------------------------- pearson
@@ -171,14 +164,12 @@ def test_single_example_overfit(tiny_world):
     # running statistics degenerate, which is correct but uninformative
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.5,), np.random.default_rng(10))
-    ex = examples_from_distorted(distorted[:1], table, h=5)
+    X, lengths, y = _examples(distorted[:1], table, h=5)
     cfg = PredictorConfig(history_len=5, hidden_dim=12, batch_size=2,
                           epochs=200, runs=1, learning_rate=0.05, seed=0)
-    model = train_predictor(ex, cfg)
-    X = np.stack([ex[0].history.rows] * 2)
-    lengths = np.array([ex[0].history.filled] * 2)
-    y = np.array([ex[0].target] * 2, dtype=np.float64)
-    loss, _ = regressor_loss_and_grads(model, X, lengths, y,
+    model = train_predictor(X, lengths, y, cfg)
+    pair = [0, 0]
+    loss, _ = regressor_loss_and_grads(model, X[pair], lengths[pair], y[pair],
                                        train_mode=True, update_running=False)
     assert loss < 1e-2
 
@@ -186,14 +177,13 @@ def test_single_example_overfit(tiny_world):
 def test_constant_targets_learn_constant(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0, 0.0), np.random.default_rng(11))
-    examples = examples_from_distorted(distorted, table, h=4)
+    X, lengths, y = _examples(distorted, table, h=4)
     const = 3
-    for ex in examples:
-        ex.target = const
+    y[:] = const
     cfg = PredictorConfig(history_len=4, hidden_dim=10, batch_size=8,
                           epochs=150, runs=1, learning_rate=0.03, seed=1)
-    model = train_predictor(examples, cfg)
-    pred = predict(model, examples)
+    model = train_predictor(X, lengths, y, cfg)
+    pred = predict(model, X, lengths)
     assert float(np.mean((pred - const) ** 2)) < 1e-2
 
 
@@ -201,11 +191,11 @@ def test_train_predictor_deterministic(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS,
                                np.random.default_rng(12))
-    examples = examples_from_distorted(distorted, table, h=5)
+    examples = _examples(distorted, table, h=5)
     cfg = PredictorConfig(history_len=5, hidden_dim=8, batch_size=16,
                           epochs=3, runs=1, learning_rate=1e-3, seed=21)
-    m1 = train_predictor(examples, cfg)
-    m2 = train_predictor(examples, cfg)
+    m1 = train_predictor(*examples, cfg)
+    m2 = train_predictor(*examples, cfg)
     p1, p2 = m1.params(), m2.params()
     assert p1.keys() == p2.keys()
     for k in p1:
@@ -215,13 +205,13 @@ def test_train_predictor_deterministic(tiny_world):
 def test_different_seeds_differ(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.5,), np.random.default_rng(13))
-    examples = examples_from_distorted(distorted, table, h=3)
+    examples = _examples(distorted, table, h=3)
     base = PredictorConfig(history_len=3, hidden_dim=8, batch_size=8,
                            epochs=2, runs=1, seed=0)
     other = PredictorConfig(history_len=3, hidden_dim=8, batch_size=8,
                             epochs=2, runs=1, seed=1)
-    m1 = train_predictor(examples, base)
-    m2 = train_predictor(examples, other)
+    m1 = train_predictor(*examples, base)
+    m2 = train_predictor(*examples, other)
     assert any(
         not np.array_equal(m1.params()[k], m2.params()[k]) for k in m1.params()
     )
@@ -231,18 +221,18 @@ def test_empty_dataset_rejected():
     cfg = PredictorConfig(history_len=3, hidden_dim=4, batch_size=2,
                           epochs=1, runs=1)
     with pytest.raises(ValueError, match="empty"):
-        train_predictor([], cfg)
+        train_predictor(np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0), cfg)
 
 
 def test_predict_shape_and_finiteness(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0, 1.0), np.random.default_rng(14))
-    examples = examples_from_distorted(distorted, table, h=4)
+    X, lengths, y = _examples(distorted, table, h=4)
     cfg = PredictorConfig(history_len=4, hidden_dim=6, batch_size=8,
                           epochs=1, runs=1, seed=2)
-    model = train_predictor(examples, cfg)
-    pred = predict(model, examples)
-    assert pred.shape == (len(examples),)
+    model = train_predictor(X, lengths, y, cfg)
+    pred = predict(model, X, lengths)
+    assert pred.shape == (len(distorted),)
     assert np.all(np.isfinite(pred))
 
 
