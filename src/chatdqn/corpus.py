@@ -8,6 +8,7 @@ line: {"id": ..., "turns": [{"speaker": "env"|"agent", "text": ...}, ...]}.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -119,6 +120,16 @@ class Corpus:
 
     def subset(self, dialogue_ids: Sequence[str]) -> "Corpus":
         return Corpus(self.get(i) for i in dialogue_ids)
+
+    @functools.cached_property
+    def _turns(self) -> tuple[list[int], list[str]]:
+        """(offsets, texts): every turn's text in corpus order, dialogue i
+        owning texts[offsets[i]:offsets[i + 1]]."""
+        offsets, texts = [0], []
+        for d in self._dialogues:
+            texts.extend(t.text for t in d.turns)
+            offsets.append(len(texts))
+        return offsets, texts
 
 
 @dataclass(frozen=True)
@@ -293,33 +304,32 @@ def load_splits(path: str) -> list[DataSplit]:
     return [DataSplit(split_id=k, dialogue_ids=tuple(v)) for k, v in items]
 
 
-def _distractor_pool(corpus: Corpus, exclude_id: str | None) -> list[tuple[int, int]]:
-    if exclude_id is not None and exclude_id not in corpus:
-        raise ValueError(f"unknown dialogue id {exclude_id!r}")
-    pool = []
-    for i, d in enumerate(corpus.dialogues):
-        if d.id == exclude_id:
-            continue
-        pool.extend((i, j) for j in range(len(d.turns)))
-    return pool
-
-
 def sample_distractors(
     corpus: Corpus, exclude_id: str | None, n: int, rng: np.random.Generator
 ) -> list[str]:
     """Draw n sentences, uniformly without replacement, from the turns of
-    every dialogue except `exclude_id`."""
+    every dialogue except `exclude_id`.
+
+    A pick p indexes the corpus's turns with the excluded dialogue's block
+    cut out, so it maps to turn p, or to p + (block length) past the block.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    pool = _distractor_pool(corpus, exclude_id)
-    if n > len(pool):
+    offsets, texts = corpus._turns
+    lo = hi = 0
+    if exclude_id is not None:
+        if exclude_id not in corpus:
+            raise ValueError(f"unknown dialogue id {exclude_id!r}")
+        i = corpus.index_of(exclude_id)
+        lo, hi = offsets[i], offsets[i + 1]
+    skip = hi - lo
+    available = len(texts) - skip
+    if n > available:
         raise ValueError(
-            f"requested {n} distractors but only {len(pool)} sentences available"
+            f"requested {n} distractors but only {available} sentences available"
         )
-    picks = rng.choice(len(pool), size=n, replace=False)
-    return [
-        corpus.dialogues[pool[p][0]].turns[pool[p][1]].text for p in np.atleast_1d(picks)
-    ]
+    picks = rng.choice(available, size=n, replace=False)
+    return [texts[p + skip if p >= lo else p] for p in picks.tolist()]
 
 
 def distort_dialogue(

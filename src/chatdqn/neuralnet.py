@@ -18,6 +18,17 @@ GRU update, per step (sigma = logistic):
     r   = sigma(W_r x + U_r h_prev + b_r)
     h~  = tanh(W_h x + U_h (r * h_prev) + b_h)
     h_t = (1 - z) * h_prev + z * h~
+
+A GRU layer keeps its per-gate parameters (`W_z` ... `b_h`) but runs them
+stacked: one GEMM computes the input projections X @ [W_z; W_r; W_h]^T + b
+of all T steps into a single (B, T, 3h) gate buffer, and each step then
+needs one [U_z; U_r] GEMM, one `sigmoid` call for z and r together, and the
+U_h GEMM, after which it overwrites its slot of the buffer with [z r h~].
+The backward pass walks the steps in reverse and overwrites each slot again
+with the gate pre-activation gradients, so dW, db and dX each take one GEMM
+after the loop. Because of that overwrite a cache serves exactly one
+backward pass; the hidden state entering step t is read from H[:, t - 1],
+since a frozen step carries it.
 """
 
 from __future__ import annotations
@@ -43,18 +54,14 @@ __all__ = [
     "regressor_loss_and_grads",
 ]
 
-_GRU_KEYS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
-
-
 def sigmoid(x):
-    # two-branch form: exp is only ever taken of a non-positive argument,
-    # so saturated gates cannot overflow
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no exp, so saturated
+    gates cannot overflow and need no branch."""
+    out = np.array(x, dtype=np.float64)  # a copy; 0-d for a scalar
+    out *= 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -87,79 +94,98 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
 
     X: (B, T, D); lengths: (B,) ints in [0, T]. Returns (H, cache) with
     H[:, t] the hidden state after step t (frozen once t >= lengths[b]).
+    The cache holds the gate buffer that `gru_backward` overwrites, so it
+    serves exactly one backward pass.
     """
     B, T, D = X.shape
-    h_dim = p["W_z"].shape[0]
-    _check_gru_shapes(p, D, h_dim)
-    H = np.zeros((B, T, h_dim), dtype=np.float64)
-    Z = np.zeros_like(H)
-    R = np.zeros_like(H)
-    Htil = np.zeros_like(H)
-    Hprev = np.zeros_like(H)  # Hprev[:, t] = hidden state entering step t
-    masks = (np.arange(T)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
-    h = np.zeros((B, h_dim), dtype=np.float64)
-    Wz_T, Wr_T, Wh_T = p["W_z"].T, p["W_r"].T, p["W_h"].T
-    Uz_T, Ur_T, Uh_T = p["U_z"].T, p["U_r"].T, p["U_h"].T
+    hd = p["W_z"].shape[0]
+    _check_gru_shapes(p, D, hd)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    lengths = np.asarray(lengths)
+    W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]))  # (3h, D)
+    U_zr = np.concatenate((p["U_z"], p["U_r"]))         # (2h, h)
+    U_h = p["U_h"]
+    # G[:, t] = [a_z a_r a_h] input pre-activations, then [z r h~]
+    G = np.empty((B, T, 3 * hd), dtype=np.float64)
+    np.matmul(X.reshape(B * T, D), W.T, out=G.reshape(B * T, 3 * hd))
+    G += np.concatenate((p["b_z"], p["b_r"], p["b_h"]))
+    H = np.empty((B, T, hd), dtype=np.float64)
+    active = np.arange(T)[None, :] < lengths[:, None]
+    all_active = int(lengths.min()) if B else T  # steps below this skip the mask
+    h = np.zeros((B, hd), dtype=np.float64)
     for t in range(T):
-        x = X[:, t]
-        m = masks[:, t][:, None]
-        z = sigmoid(x @ Wz_T + h @ Uz_T + p["b_z"])
-        r = sigmoid(x @ Wr_T + h @ Ur_T + p["b_r"])
-        h_til = np.tanh(x @ Wh_T + (r * h) @ Uh_T + p["b_h"])
-        h_new = (1.0 - z) * h + z * h_til
-        Hprev[:, t] = h
-        Z[:, t] = z
-        R[:, t] = r
-        Htil[:, t] = h_til
-        h = m * h_new + (1.0 - m) * h
+        g = G[:, t]
+        a_zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
+        if t:  # h = 0 at t = 0: the recurrent terms vanish
+            a_zr += h @ U_zr.T
+        zr = sigmoid(a_zr)
+        a_zr[...] = zr
+        z, r = zr[:, :hd], zr[:, hd:]
+        if t:
+            h_til += (r * h) @ U_h.T
+        np.tanh(h_til, out=h_til)
+        h_new = h + z * (h_til - h)
+        h = h_new if t < all_active else np.where(active[:, t, None], h_new, h)
         H[:, t] = h
-    cache = {"X": X, "Z": Z, "R": R, "Htil": Htil, "Hprev": Hprev, "masks": masks, "p": p}
+    cache = {"X": X, "G": G, "H": H, "active": active, "all_active": all_active,
+             "W": W, "U_zr": U_zr, "U_h": U_h}
     return H, cache
 
 
 def gru_backward(cache: dict, dH: np.ndarray):
-    """Backprop through `gru_forward`.
+    """Backprop through `gru_forward`, consuming its cache.
 
     dH: (B, T, h) upstream gradients on each H[:, t] (zeros where none).
     Returns (grads, dX): parameter-gradient dict with the layer's key names,
-    and the gradient w.r.t. the input batch.
+    and the gradient w.r.t. the input batch. Each step's slot of the gate
+    buffer is overwritten with its pre-activation gradients, which then give
+    dW, db and dX as one GEMM each; a second call on the same cache raises.
     """
-    p = cache["p"]
-    X, Z, R, Htil, Hprev, masks = (
-        cache["X"], cache["Z"], cache["R"], cache["Htil"], cache["Hprev"], cache["masks"],
-    )
+    G = cache.pop("G", None)
+    if G is None:
+        raise ValueError("GRU cache already consumed by a backward pass")
+    X, H, active, all_active = cache["X"], cache["H"], cache["active"], cache["all_active"]
+    W, U_zr, U_h = cache["W"], cache["U_zr"], cache["U_h"]
     B, T, D = X.shape
-    grads = {k: np.zeros_like(p[k]) for k in _GRU_KEYS}
-    dX = np.zeros_like(X)
-    gh = np.zeros((B, p["W_z"].shape[0]), dtype=np.float64)
+    hd = U_h.shape[0]
+    dU_zr = np.zeros_like(U_zr)
+    dU_h = np.zeros_like(U_h)
+    gh = np.zeros((B, hd), dtype=np.float64)
     for t in range(T - 1, -1, -1):
-        gh = gh + dH[:, t]
-        m = masks[:, t][:, None]
-        g = gh * m          # gradient through an executed step
-        carry = gh * (1.0 - m)  # frozen step: h_t was h_{t-1}
-        h_prev, z, r, h_til, x = Hprev[:, t], Z[:, t], R[:, t], Htil[:, t], X[:, t]
-        dh_til = g * z
-        dz = g * (h_til - h_prev)
-        dh_prev = g * (1.0 - z)
-        da_h = dh_til * (1.0 - h_til**2)
-        grads["W_h"] += da_h.T @ x
-        grads["U_h"] += da_h.T @ (r * h_prev)
-        grads["b_h"] += da_h.sum(axis=0)
-        drh = da_h @ p["U_h"]
-        dh_prev = dh_prev + drh * r
-        dr = drh * h_prev
-        da_z = dz * z * (1.0 - z)
-        grads["W_z"] += da_z.T @ x
-        grads["U_z"] += da_z.T @ h_prev
-        grads["b_z"] += da_z.sum(axis=0)
-        dh_prev = dh_prev + da_z @ p["U_z"]
-        da_r = dr * r * (1.0 - r)
-        grads["W_r"] += da_r.T @ x
-        grads["U_r"] += da_r.T @ h_prev
-        grads["b_r"] += da_r.sum(axis=0)
-        dh_prev = dh_prev + da_r @ p["U_r"]
-        dX[:, t] = da_z @ p["W_z"] + da_r @ p["W_r"] + da_h @ p["W_h"]
-        gh = dh_prev + carry
+        gh += dH[:, t]
+        g = G[:, t]
+        zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
+        z, r = zr[:, :hd], zr[:, hd:]
+        # a frozen step passes gh through untouched: h_t was h_{t-1}
+        m = None if t < all_active else active[:, t, None]
+        gm = gh if m is None else gh * m
+        da_h = gm * z * (1.0 - h_til * h_til)
+        dzr = zr * (1.0 - zr)
+        if t == 0:  # h_prev = 0: no dU terms, no r gradient, nothing upstream
+            dzr[:, :hd] *= gm * h_til
+            dzr[:, hd:] = 0.0
+        else:
+            h_prev = H[:, t - 1]
+            drh = da_h @ U_h
+            dzr[:, :hd] *= gm * (h_til - h_prev)
+            dzr[:, hd:] *= drh * h_prev
+            dU_h += da_h.T @ (r * h_prev)
+            dU_zr += dzr.T @ h_prev
+            dh_prev = gm * (1.0 - z) + drh * r
+            dh_prev += dzr @ U_zr
+            gh = dh_prev if m is None else np.where(m, dh_prev, gh)
+        g[:, : 2 * hd] = dzr
+        g[:, 2 * hd :] = da_h
+    dA = G.reshape(B * T, 3 * hd)
+    dW = dA.T @ X.reshape(B * T, D)
+    db = dA.sum(axis=0)
+    dX = (dA @ W).reshape(B, T, D)
+    grads = {}
+    for i, gate in enumerate(("z", "r", "h")):
+        rows = slice(i * hd, (i + 1) * hd)
+        grads[f"W_{gate}"] = dW[rows]
+        grads[f"b_{gate}"] = db[rows]
+    grads["U_z"], grads["U_r"], grads["U_h"] = dU_zr[:hd], dU_zr[hd:], dU_h
     return grads, dX
 
 

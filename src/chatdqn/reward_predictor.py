@@ -82,13 +82,14 @@ def distort_corpus(
 
 def history_prefixes(vectors: np.ndarray, offsets, h: int):
     """(X, lengths): the first h sentence vectors of each dialogue of an
-    `embed_corpus` result, as an (n, h, dim) batch zero-padded after each
-    dialogue's last sentence."""
+    `embed_corpus` result, as an (n, T, dim) batch zero-padded after each
+    dialogue's last sentence, T = min(h, longest dialogue)."""
     if h < 1:
         raise ValueError("h must be >= 1")
     starts = np.asarray(offsets[:-1], dtype=np.int64)
     lengths = np.minimum(np.diff(offsets), h).astype(np.int64)
-    X = np.zeros((len(starts), h, vectors.shape[1]), dtype=np.float64)
+    width = int(lengths.max(initial=0))
+    X = np.zeros((len(starts), width, vectors.shape[1]), dtype=np.float64)
     for i, (a, n) in enumerate(zip(starts, lengths)):
         X[i, :n] = vectors[a : a + n]
     return X, lengths

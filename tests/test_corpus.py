@@ -194,6 +194,34 @@ def test_load_splits_missing_key_is_named(tmp_path):
 # distractors
 
 
+def _pool_reference_sampler(corpus, exclude_id, n, rng):
+    """The original sampler: list every (dialogue, turn) of every other
+    dialogue, then draw pool positions."""
+    pool = [(i, j) for i, d in enumerate(corpus.dialogues) if d.id != exclude_id
+            for j in range(len(d.turns))]
+    picks = rng.choice(len(pool), size=n, replace=False)
+    return [corpus.dialogues[pool[p][0]].turns[pool[p][1]].text
+            for p in np.atleast_1d(picks)]
+
+
+def test_sample_distractors_matches_pool_reference():
+    # ragged dialogues, so picks must be mapped past blocks of every size
+    corpus = Corpus([_dialogue(f"d{i}", n) for i, n in enumerate((2, 7, 4, 11, 3, 6))])
+    for seed in range(8):
+        for exclude in (None, *corpus.ids):
+            for n in (1, 4, 13):
+                want = _pool_reference_sampler(corpus, exclude, n, np.random.default_rng(seed))
+                got = sample_distractors(corpus, exclude, n, np.random.default_rng(seed))
+                assert got == want, (seed, exclude, n)
+
+
+def test_sample_distractors_unknown_exclude_id():
+    corpus = Corpus([_dialogue("a", 2), _dialogue("b", 2)])
+    with pytest.raises(ValueError, match="unknown dialogue id"):
+        sample_distractors(corpus, "zz", 1, np.random.default_rng(0))
+
+
+
 def test_sample_distractors_excludes_active_dialogue():
     corpus = Corpus([_dialogue("a", 6), _dialogue("b", 6), _dialogue("c", 6)])
     own = {t.text for t in corpus.get("a").turns}

@@ -17,10 +17,12 @@ from chatdqn import (
     batchnorm_forward,
     dropout,
     glorot_uniform,
+    gru_backward,
     gru_forward,
     init_gru_params,
     qnet_loss_and_grads,
     regressor_loss_and_grads,
+    sigmoid,
 )
 
 
@@ -76,6 +78,25 @@ def tiny_batch(rng, B, L, m, lengths=None):
     if lengths is None:
         lengths = rng.integers(1, L + 1, size=B)
     return X, np.asarray(lengths, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# sigmoid
+
+
+def test_sigmoid_matches_two_branch_logistic():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                        [0.0, 30.0, -30.0, 745.0, -745.0, 1e3, -1e3, 1e-300, -1e-300]])
+    pos = x >= 0
+    ref = np.empty_like(x)
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    with np.errstate(all="raise"):
+        got = sigmoid(x)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    assert got[x == 0.0].tolist() == [0.5, 0.5]
+    assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +270,37 @@ def finite_difference_check(loss_fn, params, eps=1e-5, tol=1e-4):
                 worst, worst_name = rel, (name, idx)
     assert worst < tol, f"gradient mismatch at {worst_name}: rel err {worst}"
     return worst
+
+
+def test_gru_backward_gradcheck_upstream_on_every_step():
+    # ragged batch: one full row, one of length 0, one frozen after 2 of 5
+    # steps; the loss reads every H[:, t], so every step's gradient counts
+    rng = np.random.default_rng(40)
+    p = init_gru_params(rng, 3, 4)
+    for k in ("b_z", "b_r", "b_h"):
+        p[k][...] = rng.normal(size=4) * 0.5
+    X, lengths = tiny_batch(rng, B=4, L=5, m=3, lengths=[5, 0, 2, 4])
+    dH = rng.normal(size=(4, 5, 4))
+
+    def loss_fn():
+        H, cache = gru_forward(p, X, lengths)
+        grads, dX = gru_backward(cache, dH)
+        return float(np.sum(dH * H)), {**grads, "X": dX}
+
+    _, grads = loss_fn()
+    assert sorted(grads) == sorted([*p, "X"])
+    assert np.all(grads["X"][1] == 0.0) and np.all(grads["X"][2, 2:] == 0.0)
+    finite_difference_check(loss_fn, {**p, "X": X})
+
+
+def test_gru_backward_consumes_its_cache():
+    rng = np.random.default_rng(41)
+    p = init_gru_params(rng, 2, 3)
+    X, lengths = tiny_batch(rng, B=2, L=3, m=2)
+    H, cache = gru_forward(p, X, lengths)
+    gru_backward(cache, np.ones_like(H))
+    with pytest.raises(ValueError, match="consumed"):
+        gru_backward(cache, np.ones_like(H))
 
 
 def test_qnet_gradcheck_tiny():

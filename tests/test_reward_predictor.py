@@ -111,6 +111,44 @@ def test_examples_pad_short_dialogues_with_zeros(tiny_world):
     assert np.all(X[0, n_turns:] == 0.0)
 
 
+def test_prefixes_pad_to_longest_dialogue_within_h(tiny_world):
+    table, corpus = tiny_world
+    longest = max(len(d.turns) for d in corpus)
+    emb = embed_corpus(corpus, table)
+    for h in (1, longest - 1, longest, longest + 1, 50):
+        X, lengths = history_prefixes(*emb, h)
+        assert X.shape == (len(corpus), min(h, longest), table.dim)
+        assert lengths.max() == min(h, longest)
+
+
+def test_study_rows_same_as_padding_to_h(tiny_world, monkeypatch):
+    # the regressor runs only to max(lengths), so trimming the all-zero tail
+    # of the batch must leave every score bit-identical
+    import chatdqn.reward_predictor as rp
+
+    table, _ = tiny_world
+    train_c = make_toy_corpus(8, topics=range(4), seed=21, id_prefix="tr")
+    test_c = make_toy_corpus(4, topics=range(4), seed=22, id_prefix="te")
+    assert max(len(d.turns) for d in train_c) < 50
+    cfg = PredictorConfig(hidden_dim=5, batch_size=8, epochs=2, runs=2, seed=6)
+
+    def run():
+        return history_length_study(train_c, test_c, table, cfg,
+                                    lengths=(1, 5, 50), fractions=(0.0, 0.5, 1.0))
+
+    trimmed = run()
+    trim = rp.history_prefixes
+
+    def pad_to_h(vectors, offsets, h):
+        X, lengths = trim(vectors, offsets, h)
+        full = np.zeros((X.shape[0], h, X.shape[2]))
+        full[:, : X.shape[1]] = X
+        return full, lengths
+
+    monkeypatch.setattr(rp, "history_prefixes", pad_to_h)
+    assert run() == trimmed
+
+
 def test_h_must_be_positive(tiny_world):
     table, corpus = tiny_world
     with pytest.raises(ValueError):
