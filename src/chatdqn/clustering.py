@@ -2,7 +2,15 @@
 
 Cluster IDs double as the agent's discrete actions, so `fit` must always
 return exactly k centroids: empty clusters are repaired by reseeding them
-to the point currently farthest from its assigned centroid.
+to the point farthest from its assigned centroid among clusters that have
+a point to spare.
+
+A Lloyd pass keeps the bits of the plain definition, in which a centroid is
+`points[labels == j].mean(axis=0)`. The update therefore sums each cluster's
+rows in their original order: one stable sort of the labels makes every
+cluster a contiguous slice, and an axis-0 sum adds a slice's rows one after
+another, as `mean` does. `np.add.reduceat` and a one-hot GEMM add the same
+rows in another order and change the last bits, so neither is used.
 """
 
 from __future__ import annotations
@@ -60,14 +68,19 @@ def euclidean(x, y) -> float:
     return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, clipped at 0 against fp noise."""
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(points: np.ndarray, centroids: np.ndarray, pn: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, clipped at 0 against fp noise.
+
+    pn holds the points' squared norms. The result is built in the GEMM's
+    output buffer: pn - 2 * points @ centroids.T + |c|^2, the same bits as
+    that expression without its (n, k) temporaries.
+    """
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += pn[:, None]
+    d2 += np.sum(centroids**2, axis=1)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,20 +109,26 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     return points[chosen].copy()
 
 
-def _assign_and_repair(points: np.ndarray, centroids: np.ndarray):
+def _assign_and_repair(points: np.ndarray, centroids: np.ndarray, pn: np.ndarray):
     """Nearest-centroid labels with empty clusters reseeded to far points.
 
-    Returns (labels, centroids, inertia); centroids is mutated only on repair.
+    A reseeded cluster takes the point farthest from its centroid among the
+    clusters with at least two members, so no repair empties another cluster
+    (one always has two members while n >= k and a cluster is empty).
+    Returns (labels, centroids, counts, inertia); centroids is mutated only
+    on repair, and counts[j] is the number of points labelled j.
     """
-    n, k = points.shape[0], centroids.shape[0]
-    d2 = _sq_dists(points, centroids)
+    k = centroids.shape[0]
+    d2 = _sq_dists(points, centroids, pn)
     labels = np.argmin(d2, axis=1)
     counts = np.bincount(labels, minlength=k)
+    d_own = np.take_along_axis(d2, labels[:, None], axis=1)[:, 0]
     if np.any(counts == 0):
         centroids = centroids.copy()
-        d_own = d2[np.arange(n), labels].copy()
         for j in np.flatnonzero(counts == 0):
-            p = int(np.argmax(d_own))
+            p = int(np.argmax(np.where(counts[labels] >= 2, d_own, -1.0)))
+            counts[labels[p]] -= 1
+            counts[j] = 1
             centroids[j] = points[p]
             labels[p] = j
             d_own[p] = 0.0
@@ -117,8 +136,21 @@ def _assign_and_repair(points: np.ndarray, centroids: np.ndarray):
             np.sum((points - centroids[labels]) ** 2)
         )
     else:
-        inertia = float(d2[np.arange(n), labels].sum())
-    return labels, centroids, inertia
+        inertia = float(d_own.sum())
+    return labels, centroids, counts, inertia
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(k, dim) per-cluster means, bit-identical to
+    `points[labels == j].mean(axis=0)` for every j (see the module docstring)."""
+    sp = points[np.argsort(labels, kind="stable")]
+    means = np.empty((counts.shape[0], points.shape[1]), dtype=np.float64)
+    a = 0
+    for j, b in enumerate(np.cumsum(counts).tolist()):
+        sp[a:b].sum(axis=0, out=means[j])
+        a = b
+    means /= counts[:, None]
+    return means
 
 
 def _append_inertia(history: list[float], inertia: float) -> None:
@@ -130,19 +162,18 @@ def _append_inertia(history: list[float], inertia: float) -> None:
 
 def _lloyd_once(points, k, rng, max_iters, tol):
     centroids = kmeanspp_seed(points, k, rng)
+    pn = np.sum(points**2, axis=1)
     history: list[float] = []
     for _ in range(max_iters):
-        labels, centroids, inertia = _assign_and_repair(points, centroids)
+        labels, centroids, counts, inertia = _assign_and_repair(points, centroids, pn)
         _append_inertia(history, inertia)
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            new_centroids[j] = points[labels == j].mean(axis=0)
+        new_centroids = _cluster_means(points, labels, counts)
         movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
         centroids = new_centroids
         if movement < tol:
             break
     # Final pass so the stored labels/inertia match the stored centroids.
-    labels, centroids, inertia = _assign_and_repair(points, centroids)
+    _, centroids, _, inertia = _assign_and_repair(points, centroids, pn)
     _append_inertia(history, inertia)
     return centroids, inertia, history
 
@@ -161,7 +192,8 @@ def fit(
     fraction of the time even on tiny instances; ten restarts make the
     near-optimality failure rate negligible at these scales.  The winning
     run's inertia history (one value per assignment pass, checked
-    non-increasing every iteration; an increase raises InertiaIncreaseError) is kept on the returned model as
+    non-increasing every iteration; an increase raises
+    InertiaIncreaseError) is kept on the returned model as
     `inertia_history` for inspection.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -194,7 +226,7 @@ def assign_many(model: ClusterModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"points shape {X.shape} incompatible with dim {model.dim}")
-    return np.argmin(_sq_dists(X, model.centroids), axis=1)
+    return np.argmin(_sq_dists(X, model.centroids, np.sum(X**2, axis=1)), axis=1)
 
 
 def dialogue_vectors(vectors: np.ndarray, offsets) -> np.ndarray:

@@ -132,14 +132,16 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
     return H, cache
 
 
-def gru_backward(cache: dict, dH: np.ndarray):
+def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
     """Backprop through `gru_forward`, consuming its cache.
 
     dH: (B, T, h) upstream gradients on each H[:, t] (zeros where none).
     Returns (grads, dX): parameter-gradient dict with the layer's key names,
-    and the gradient w.r.t. the input batch. Each step's slot of the gate
-    buffer is overwritten with its pre-activation gradients, which then give
-    dW, db and dX as one GEMM each; a second call on the same cache raises.
+    and the gradient w.r.t. the input batch, or None with input_grad=False
+    (a first layer, whose input has no parameters). Each step's slot of the
+    gate buffer is overwritten with its pre-activation gradients, which then
+    give dW, db and dX as one GEMM each; a second call on the same cache
+    raises.
     """
     G = cache.pop("G", None)
     if G is None:
@@ -179,7 +181,7 @@ def gru_backward(cache: dict, dH: np.ndarray):
     dA = G.reshape(B * T, 3 * hd)
     dW = dA.T @ X.reshape(B * T, D)
     db = dA.sum(axis=0)
-    dX = (dA @ W).reshape(B, T, D)
+    dX = (dA @ W).reshape(B, T, D) if input_grad else None
     grads = {}
     for i, gate in enumerate(("z", "r", "h")):
         rows = slice(i * hd, (i + 1) * hd)
@@ -395,7 +397,7 @@ class QNetwork(_Network):
             dH2 = np.zeros((cache["B"], cache["t_eff"], self.hidden_dim))
             dH2[:, -1] = dh_last
             g2, dH1 = gru_backward(cache["c2"], dH2)
-            g1, _ = gru_backward(cache["c1"], dH1)
+            g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
             grads.update(_flat("gru1", g1))
             grads.update(_flat("gru2", g2))
         else:
@@ -531,7 +533,7 @@ class RewardRegressor(_Network):
             grads["bn1.beta"] = db1
             dH1 = np.zeros_like(dH1n)
             dH1[cache["valid"]] = dxs
-            g1, _ = gru_backward(cache["c1"], dH1)
+            g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
             grads.update(_flat("gru1", g1))
             grads.update(_flat("gru2", g2))
         else:

@@ -159,9 +159,10 @@ def _rising_inertia():
     """Stand-in for _assign_and_repair whose inertia grows on every pass."""
     passes = itertools.count(1)
 
-    def assign_and_repair(points, centroids):
+    def assign_and_repair(points, centroids, pn):
         labels = np.arange(len(points)) % len(centroids)
-        return labels, centroids, float(next(passes))
+        counts = np.bincount(labels, minlength=len(centroids))
+        return labels, centroids, counts, float(next(passes))
 
     return assign_and_repair
 
@@ -192,6 +193,118 @@ def test_fit_refuses_rising_inertia_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "refused"
+
+
+# The Lloyd pass as first written: distances from a fresh expression, a
+# repair that may pick the only member of a cluster, and each centroid as
+# the mean of a boolean mask. `fit` must give the same bits wherever this
+# reference gives finite centroids.
+
+
+def _ref_sq_dists(points, centroids):
+    d2 = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids**2, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _ref_assign_and_repair(points, centroids, repairs):
+    n, k = points.shape[0], centroids.shape[0]
+    d2 = _ref_sq_dists(points, centroids)
+    labels = np.argmin(d2, axis=1)
+    counts = np.bincount(labels, minlength=k)
+    if np.any(counts == 0):
+        repairs.append(int(np.sum(counts == 0)))
+        centroids = centroids.copy()
+        d_own = d2[np.arange(n), labels].copy()
+        for j in np.flatnonzero(counts == 0):
+            p = int(np.argmax(d_own))
+            centroids[j] = points[p]
+            labels[p] = j
+            d_own[p] = 0.0
+        inertia = float(np.sum((points - centroids[labels]) ** 2))
+    else:
+        inertia = float(d2[np.arange(n), labels].sum())
+    return labels, centroids, inertia
+
+
+def _ref_fit(points, k, rng, restarts, repairs, max_iters=100, tol=1e-6):
+    best = None
+    for _ in range(restarts):
+        centroids = kmeanspp_seed(points, k, rng)
+        history = []
+        for _ in range(max_iters):
+            labels, centroids, inertia = _ref_assign_and_repair(points, centroids, repairs)
+            history.append(inertia)
+            new_centroids = np.empty_like(centroids)
+            for j in range(k):
+                new_centroids[j] = points[labels == j].mean(axis=0)
+            movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
+            centroids = new_centroids
+            if movement < tol:
+                break
+        labels, centroids, inertia = _ref_assign_and_repair(points, centroids, repairs)
+        history.append(inertia)
+        if best is None or inertia < best[1]:
+            best = (centroids, inertia, history)
+    return best
+
+
+def _reference_case(name, seed):
+    rng = np.random.default_rng([31, seed])
+    if name == "1d":
+        return rng.normal(size=(60, 1)) * 3.0, 6
+    if name == "d100_k100":
+        return rng.normal(size=(300, 100)), 100
+    if name == "k_near_n":
+        return rng.normal(size=(14, 3)), 12
+    # 4 distinct rows, 8 copies each, k=5: seeding must draw a duplicate
+    # centroid, which leaves a cluster empty on every pass
+    return rng.permutation(np.repeat(rng.normal(size=(4, 2)), 8, axis=0)), 5
+
+
+@pytest.mark.parametrize("name", ["1d", "d100_k100", "k_near_n", "duplicates"])
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_bit_identical_to_per_cluster_mean_reference(name, seed):
+    pts, k = _reference_case(name, seed)
+    repairs = []
+    ref_centroids, ref_inertia, ref_history = _ref_fit(
+        pts, k, np.random.default_rng(seed), 4, repairs)
+    model = fit(pts, k, np.random.default_rng(seed), restarts=4)
+    assert np.array_equal(model.centroids, ref_centroids)
+    assert model.inertia == ref_inertia
+    assert model.inertia_history == ref_history
+    if name == "duplicates":
+        assert repairs  # the case exercises the repair path
+
+
+def test_assign_many_matches_reference_argmin():
+    rng = np.random.default_rng(37)
+    for n, d, k in [(50, 1, 4), (200, 100, 100), (30, 5, 29)]:
+        pts = rng.normal(size=(n, d))
+        model = ClusterModel(k=k, dim=d, centroids=rng.normal(size=(k, d)), inertia=0.0)
+        ref = np.argmin(_ref_sq_dists(pts, model.centroids), axis=1)
+        assert np.array_equal(assign_many(model, pts), ref)
+
+
+def test_repair_never_empties_a_cluster():
+    # the first repair used to move the same lone point twice, emptying the
+    # cluster it had just filled (NaN centroid, "non-finite centroid")
+    pts = np.array([[2.0], [1.0], [1.0], [0.0], [1.0], [0.0]])
+    model = fit(pts, 4, np.random.default_rng(0), restarts=1)
+    assert set(model.centroids.ravel().tolist()) == {0.0, 1.0, 2.0}
+    assert model.inertia == 0.0
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        k = int(rng.integers(2, 8))
+        pts = rng.integers(0, 3, size=(int(rng.integers(k, 20)), 1)).astype(float)
+        centroids = pts[rng.integers(len(pts), size=k)]
+        pn = np.sum(pts**2, axis=1)
+        labels, _, counts, _ = clustering._assign_and_repair(pts, centroids, pn)
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        assert counts.min() >= 1
 
 
 def test_fit_assigns_every_point_to_nearest_centroid():

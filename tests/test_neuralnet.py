@@ -293,6 +293,19 @@ def test_gru_backward_gradcheck_upstream_on_every_step():
     finite_difference_check(loss_fn, {**p, "X": X})
 
 
+def test_gru_backward_without_input_grad_keeps_param_grads():
+    rng = np.random.default_rng(43)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=3, L=4, m=3, lengths=[4, 1, 3])
+    dH = rng.normal(size=(3, 4, 4))
+    full, dX = gru_backward(gru_forward(p, X, lengths)[1], dH)
+    lean, none = gru_backward(gru_forward(p, X, lengths)[1], dH, input_grad=False)
+    assert dX is not None and none is None
+    assert sorted(lean) == sorted(full)
+    for name in full:
+        np.testing.assert_array_equal(lean[name], full[name])
+
+
 def test_gru_backward_consumes_its_cache():
     rng = np.random.default_rng(41)
     p = init_gru_params(rng, 2, 3)
