@@ -10,7 +10,6 @@ on demand.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -18,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clustering import ClusterModel
-from .corpus import Corpus
+from .corpus import Corpus, stable_seed
 from .environment import DialogueEnv, episode_reward
 from .neuralnet import Adam, QNetwork, qnet_loss_and_grads
 
@@ -35,7 +34,6 @@ __all__ = [
     "moving_average",
     "train",
     "evaluate",
-    "stable_hash",
 ]
 
 
@@ -157,12 +155,6 @@ class EvalResult:
     truncated: bool
 
 
-def stable_hash(*parts) -> int:
-    """Platform-stable 64-bit hash used to derive per-dialogue rng streams."""
-    h = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 def select_action(qvals, candidate_ids, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over the candidate clusters only.
 
@@ -275,7 +267,7 @@ def _subset(corpus: Corpus, dialogue_ids: Sequence[str] | None):
     and the index of their rows in the corpus's sentence vectors."""
     if dialogue_ids is None:
         return corpus, slice(None)
-    offsets = np.cumsum([0] + [len(d.turns) for d in corpus])
+    offsets = corpus._turns[0]
     rows = [r for i in map(corpus.index_of, dialogue_ids)
             for r in range(offsets[i], offsets[i + 1])]
     return corpus.subset(dialogue_ids), rows
@@ -383,7 +375,8 @@ def evaluate(
     at cfg.test_steps env turns. `vectors` holds the corpus's sentence
     vectors (`embed_corpus`).
 
-    Candidate draws use a per-dialogue rng derived from (seed, dialogue id),
+    Candidate draws use a per-dialogue rng seeded by
+    `stable_seed(seed, dialogue id)`,
     so different policies face identical candidate sequences. `policy` (for
     stubs/oracles) takes (state, cands, env) and returns an action id; the
     default is the greedy policy of `net`.
@@ -411,7 +404,7 @@ def evaluate(
         if steps + d.n_agent_turns > cfg.test_steps:
             truncated = True
             break
-        rng_d = np.random.default_rng([seed, stable_hash(seed, d.id)])
+        rng_d = np.random.default_rng(stable_seed(seed, d.id))
         state = env.reset(env.corpus.get(d.id))
         ep: list[int] = []
         while not state.done:

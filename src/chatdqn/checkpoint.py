@@ -105,41 +105,21 @@ def architecture_of(net: QNetwork) -> dict:
     }
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
 def save_agent_checkpoint(path: str, agent, config_hash: str = "") -> None:
-    """Full training state: online and target parameters, Adam moments and
-    step count, step counter, and every rng stream."""
-    arrays = {}
-    for k, v in agent.net.params().items():
-        arrays[f"net.{k}"] = v
-    for k, v in agent.target.params().items():
-        arrays[f"target.{k}"] = v
-    for k, v in agent.optimizer.m.items():
-        arrays[f"adam_m.{k}"] = v
-    for k, v in agent.optimizer.v.items():
-        arrays[f"adam_v.{k}"] = v
-    meta = {
-        "adam_t": agent.optimizer.t,
-        "learning_rate": agent.optimizer.lr,
-        "global_step": agent.global_step,
-        "sync_history": list(agent.sync_history),
-        "rng": {
-            "explore": _rng_state(agent.rng_explore),
-            "replay": _rng_state(agent.rng_replay),
-            "dropout": _rng_state(agent.rng_dropout),
-        },
-    }
+    """The online Q-network's parameters as `net.*` arrays, with its
+    architecture: what `load_qnetwork` reads. This is not a training state;
+    the target network, the Adam moments, the replay memory and the rng
+    streams are not saved, so a run cannot resume from it."""
+    arrays = {f"net.{k}": v for k, v in agent.net.params().items()}
     save_checkpoint(
-        path, "agent", architecture_of(agent.net), arrays,
-        config_hash=config_hash, meta=meta,
+        path, "agent", architecture_of(agent.net), arrays, config_hash=config_hash
     )
 
 
 def load_qnetwork(path: str, expected_arch: dict | None = None):
-    """Rebuild the online Q-network from a checkpoint.
+    """Rebuild the online Q-network from a checkpoint's `net.*` arrays; any
+    other arrays (checkpoints once also held the target network and Adam
+    moments) are ignored.
 
     When `expected_arch` is given, any disagreeing field refuses the load —
     evaluating under a config the checkpoint was not trained for is an error.

@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiment
-from .checkpoint import load_qnetwork
 from .clustering import (
     dialogue_vectors,
     fit,
@@ -189,20 +188,8 @@ def _cmd_predict_reward(args) -> int:
 def _cmd_chat(args) -> int:
     cfg = _load_cfg(args)
     smodel = load_cluster_model(args.clusters)
-    ckpt_err = None
-    net = None
-    for dim in cfg.dims:
-        try:
-            net, _ = load_qnetwork(
-                args.checkpoint, expected_arch=experiment._expected_arch(cfg, dim)
-            )
-            table_dim = dim
-            break
-        except ValueError as exc:
-            ckpt_err = exc
-    if net is None:
-        raise ckpt_err
-    table = load_embeddings(cfg.embeddings[table_dim], table_dim)
+    net = experiment.load_policy(cfg, args.checkpoint)
+    table = load_embeddings(cfg.embeddings[net.embedding_dim], net.embedding_dim)
     if cfg.ingest_from is not None:
         corpus = ingest_personachat(cfg.ingest_from)
     else:

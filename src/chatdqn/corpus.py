@@ -1,5 +1,6 @@
 """Dialogue data model, JSONL corpus I/O, cluster-based splits, distractor
-sampling, and distorted-dialogue generation for the reward-regression study.
+sampling, distorted-dialogue generation for the reward-regression study, and
+`stable_seed`, which derives sub-seeds from ints and dialogue ids.
 
 A dialogue is an alternating env/agent transcript that always opens on the
 env (human) side. The canonical on-disk format is JSONL, one dialogue per
@@ -123,8 +124,10 @@ class Corpus:
 
     @functools.cached_property
     def _turns(self) -> tuple[list[int], list[str]]:
-        """(offsets, texts): every turn's text in corpus order, dialogue i
-        owning texts[offsets[i]:offsets[i + 1]]."""
+        """The corpus's turn index, (offsets, texts): every turn's text in
+        corpus order, dialogue i owning texts[offsets[i]:offsets[i + 1]].
+        Positions in it are the sentence ids of the environment and the
+        rows of `embeddings.embed_corpus`."""
         offsets, texts = [0], []
         for d in self._dialogues:
             texts.extend(t.text for t in d.turns)
@@ -306,9 +309,9 @@ def load_splits(path: str) -> list[DataSplit]:
 
 def sample_distractors(
     corpus: Corpus, exclude_id: str | None, n: int, rng: np.random.Generator
-) -> list[str]:
-    """Draw n sentences, uniformly without replacement, from the turns of
-    every dialogue except `exclude_id`.
+) -> list[int]:
+    """Draw n turn positions in the corpus's turn index, uniformly without
+    replacement, from the turns of every dialogue except `exclude_id`.
 
     A pick p indexes the corpus's turns with the excluded dialogue's block
     cut out, so it maps to turn p, or to p + (block length) past the block.
@@ -318,9 +321,9 @@ def sample_distractors(
     offsets, texts = corpus._turns
     lo = hi = 0
     if exclude_id is not None:
-        if exclude_id not in corpus:
+        i = corpus._by_id.get(exclude_id)
+        if i is None:
             raise ValueError(f"unknown dialogue id {exclude_id!r}")
-        i = corpus.index_of(exclude_id)
         lo, hi = offsets[i], offsets[i + 1]
     skip = hi - lo
     available = len(texts) - skip
@@ -329,7 +332,7 @@ def sample_distractors(
             f"requested {n} distractors but only {available} sentences available"
         )
     picks = rng.choice(available, size=n, replace=False)
-    return [texts[p + skip if p >= lo else p] for p in picks.tolist()]
+    return [p + skip if p >= lo else p for p in picks.tolist()]
 
 
 def distort_dialogue(
@@ -351,7 +354,8 @@ def distort_dialogue(
         chosen = set(
             int(c) for c in rng.choice(n_agent, size=n_replace, replace=False)
         )
-        distractors = sample_distractors(corpus, d.id, n_replace, rng)
+        texts = corpus._turns[1]
+        distractors = [texts[p] for p in sample_distractors(corpus, d.id, n_replace, rng)]
     turns = list(d.turns)
     mask = []
     it = 0
@@ -368,3 +372,11 @@ def distort_dialogue(
         replaced_mask=tuple(mask),
         label=n_agent - 2 * n_replace,
     )
+
+
+def stable_seed(*parts: int | str) -> int:
+    """Derive a reproducible 32-bit sub-seed from int and str parts; a str
+    enters as one int, its UTF-8 bytes read big-endian."""
+    ints = [int.from_bytes(p.encode("utf-8"), "big") if isinstance(p, str) else int(p)
+            for p in parts]
+    return int(np.random.SeedSequence(ints).generate_state(1)[0])

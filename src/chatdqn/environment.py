@@ -2,10 +2,13 @@
 human-human dialogues, choosing among clustered candidate responses and
 earning +1 when it picks the cluster of the true human reply, -1 otherwise.
 
-The environment takes the corpus's sentence vectors (see
-`embeddings.embed_corpus`) and cluster-assigns them once at construction;
-states carry sentence ids so batches of training states can be materialized
-with a single gather from that vector matrix.
+A sentence id is a position in the corpus's turn index (`Corpus._turns`):
+turn j of dialogue i is sentence offsets[i] + j. The environment takes the
+corpus's sentence vectors in that order (see `embeddings.embed_corpus`) and
+cluster-assigns them once at construction; states carry sentence ids so
+batches of training states can be materialized with a single gather from
+that vector matrix. Distractors come from `corpus.sample_distractors`, the
+same draw that distorts dialogues for the reward-regression study.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import clustering
 from .clustering import ClusterModel
-from .corpus import AGENT, Corpus, Dialogue
+from .corpus import Corpus, Dialogue, sample_distractors
 
 __all__ = [
     "EnvState",
@@ -51,8 +54,8 @@ class CandidateSet:
 
 class DialogueEnv:
     """Environment over an immutable corpus, sentence-cluster model, and the
-    corpus's sentence vectors: one row per turn, dialogue by dialogue, which
-    are also the sentence ids.
+    corpus's sentence vectors: one row per sentence id of the corpus's turn
+    index.
 
     The env owns a private rng used only to pick which same-cluster candidate
     is uttered after a wrong choice; candidate sampling takes the caller's
@@ -75,24 +78,12 @@ class DialogueEnv:
         self.model = sentence_model
         self.candidates = candidates
         self._rng = rng if rng is not None else np.random.default_rng(0)
-
-        sentences: list[str] = []
-        sent_dialogue: list[int] = []
-        self.dialogue_sentence_ids: list[list[int]] = []
-        for di, d in enumerate(corpus.dialogues):
-            ids = []
-            for t in d.turns:
-                ids.append(len(sentences))
-                sentences.append(t.text)
-                sent_dialogue.append(di)
-            self.dialogue_sentence_ids.append(ids)
-        if vectors.shape != (len(sentences), sentence_model.dim):
+        self._offsets, self._texts = corpus._turns
+        if vectors.shape != (len(self._texts), sentence_model.dim):
             raise ValueError(
-                f"sentence vectors of shape {vectors.shape} for {len(sentences)} "
+                f"sentence vectors of shape {vectors.shape} for {len(self._texts)} "
                 f"sentences and cluster model dim {sentence_model.dim}"
             )
-        self.sentences = sentences
-        self.sent_dialogue = np.asarray(sent_dialogue, dtype=np.int64)
         # One extra zero row so padded id matrices can gather in one shot.
         self._vectors_ext = np.vstack([vectors, np.zeros((1, sentence_model.dim))])
         self.vectors = self._vectors_ext[:-1]
@@ -104,15 +95,14 @@ class DialogueEnv:
 
     @property
     def n_sentences(self) -> int:
-        return len(self.sentences)
+        return len(self._texts)
 
     def reset(self, dialogue: Dialogue) -> EnvState:
         """Start an episode: the history holds the env's opening sentence and
         the next decision is the dialogue's first agent turn."""
         if dialogue.n_agent_turns == 0:
             raise ValueError(f"dialogue {dialogue.id!r} has no agent turn")
-        di = self.corpus.index_of(dialogue.id)
-        first = self.dialogue_sentence_ids[di][0]
+        first = self._offsets[self.corpus.index_of(dialogue.id)]
         return EnvState(
             dialogue_ref=dialogue.id,
             history_ids=(first,),
@@ -121,37 +111,22 @@ class DialogueEnv:
         )
 
     def make_candidates(self, state: EnvState, rng: np.random.Generator) -> CandidateSet:
-        """True next agent sentence plus c-1 distractors from other dialogues,
-        in shuffled order, with cluster ids attached."""
+        """True next agent sentence plus c-1 distractors from other dialogues
+        (`sample_distractors`), in shuffled order, with cluster ids attached."""
         if state.done:
             raise ValueError("episode is done; no candidates to generate")
-        di = self.corpus.index_of(state.dialogue_ref)
-        own = self.dialogue_sentence_ids[di]
-        truth = own[state.turn_index]
-        n_distract = self.candidates - 1
-        available = self.n_sentences - len(own)
-        if n_distract > available:
-            raise ValueError(
-                f"need {n_distract} distractors but only {available} sentences "
-                f"outside dialogue {state.dialogue_ref!r}"
-            )
-        picked: list[int] = []
-        seen = {truth}
-        while len(picked) < n_distract:
-            cand = int(rng.integers(self.n_sentences))
-            if self.sent_dialogue[cand] == di or cand in seen:
-                continue
-            picked.append(cand)
-            seen.add(cand)
-        ids = np.array([truth] + picked, dtype=np.int64)
-        order = rng.permutation(self.candidates)
-        ids = ids[order]
-        truth_index = int(np.flatnonzero(ids == truth)[0])
+        ref = state.dialogue_ref
+        truth = self._offsets[self.corpus.index_of(ref)] + state.turn_index
+        picked = []
+        if self.candidates > 1:
+            picked = sample_distractors(self.corpus, ref, self.candidates - 1, rng)
+        ids = [truth] + picked
+        ids = [ids[i] for i in rng.permutation(self.candidates).tolist()]
         return CandidateSet(
-            sentences=tuple(self.sentences[i] for i in ids),
-            truth_index=truth_index,
+            sentences=tuple(self._texts[i] for i in ids),
+            truth_index=ids.index(truth),
             action_ids=tuple(int(self.sent_action[i]) for i in ids),
-            sentence_ids=tuple(int(i) for i in ids),
+            sentence_ids=tuple(ids),
         )
 
     def step(self, state: EnvState, chosen: int, cands: CandidateSet):
@@ -181,14 +156,14 @@ class DialogueEnv:
             ]
             uttered = pool[0] if len(pool) == 1 else pool[int(self._rng.integers(len(pool)))]
         di = self.corpus.index_of(state.dialogue_ref)
-        d = self.corpus.dialogues[di]
-        own = self.dialogue_sentence_ids[di]
+        start = self._offsets[di]
+        n_turns = self._offsets[di + 1] - start
         new_ids = list(state.history_ids) + [uttered]
         env_reply = state.turn_index + 1
-        if env_reply < len(d.turns):
-            new_ids.append(own[env_reply])
+        if env_reply < n_turns:
+            new_ids.append(start + env_reply)
         next_turn = state.turn_index + 2
-        done = next_turn >= len(d.turns)
+        done = next_turn >= n_turns
         new_state = EnvState(
             dialogue_ref=state.dialogue_ref,
             history_ids=tuple(new_ids),

@@ -38,6 +38,7 @@ from .corpus import (
     save_corpus,
     save_splits,
     split_corpus,
+    stable_seed,
 )
 from .embeddings import embed_corpus, load_embeddings
 from .environment import baseline_bounds
@@ -46,7 +47,6 @@ from .reward_predictor import (
     HISTORY_LENGTHS,
     PredictorConfig,
     history_length_study,
-    stable_seed,
 )
 from .stats import wilcoxon_signed_rank
 
@@ -60,6 +60,7 @@ __all__ = [
     "run_experiment",
     "train_single",
     "evaluate_checkpoint",
+    "load_policy",
     "emit_learning_curve",
     "reward_study",
 ]
@@ -387,13 +388,26 @@ def _agent_cfg(cfg: ExperimentConfig, dim: int, split_id: int) -> AgentConfig:
     )
 
 
-def _expected_arch(cfg: ExperimentConfig, dim: int) -> dict:
+def _expected_arch(cfg: ExperimentConfig) -> dict:
+    """The Q-network architecture cfg trains, apart from its embedding size."""
     return {
-        "embedding_dim": dim,
         "hidden_dim": cfg.agent.hidden_dim,
         "n_actions": cfg.agent.n_actions,
         "dropout_rate": cfg.agent.dropout_rate,
     }
+
+
+def load_policy(cfg: ExperimentConfig, checkpoint_path: str):
+    """The Q-network of a checkpoint, loaded once. Its embedding size comes
+    from the checkpoint and must be one of cfg.dims; any other architecture
+    field that disagrees with cfg refuses the load."""
+    net, _ = load_qnetwork(checkpoint_path, expected_arch=_expected_arch(cfg))
+    if net.embedding_dim not in cfg.dims:
+        raise ValueError(
+            f"checkpoint architecture mismatch: embedding_dim {net.embedding_dim} "
+            f"not among configured {list(cfg.dims)}"
+        )
+    return net
 
 
 def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
@@ -472,7 +486,8 @@ def _stage_evaluate(ctx: _Context) -> None:
             continue
         acfg = _agent_cfg(cfg, dim, sid)
         net, _ck = load_qnetwork(
-            os.path.join(rdir, "checkpoint.bin"), expected_arch=_expected_arch(cfg, dim)
+            os.path.join(rdir, "checkpoint.bin"),
+            expected_arch=dict(_expected_arch(cfg), embedding_dim=dim),
         )
         split = next(s for s in ctx.splits if s.split_id == sid)
         ev_train = evaluate(
@@ -731,19 +746,8 @@ def evaluate_checkpoint(
     The checkpoint's architecture must agree with the current config.
     """
     ctx = _run_stages(cfg, log, "cluster_sentences")
-    ck_arch = None
-    net = None
-    err = None
-    for dim in cfg.dims:
-        try:
-            net, ck = load_qnetwork(checkpoint_path, expected_arch=_expected_arch(cfg, dim))
-            ck_arch = ck.arch
-            break
-        except ValueError as exc:
-            err = exc
-    if net is None:
-        raise err
-    dim = ck_arch["embedding_dim"]
+    net = load_policy(cfg, checkpoint_path)
+    dim = net.embedding_dim
     if which == "train":
         corpus, vectors = ctx.corpus, _embedded(ctx, "train", dim)[0]
     elif which == "test":

@@ -435,9 +435,7 @@ class RewardRegressor(_Network):
     final hidden state, then a scalar linear head."""
 
     def __init__(self, embedding_dim: int, hidden_dim: int,
-                 rng: np.random.Generator | None = None, layers: int = 2):
-        if layers != 2:
-            raise ValueError("this regressor is fixed at 2 recurrent layers")
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.embedding_dim = embedding_dim
         self.hidden_dim = hidden_dim

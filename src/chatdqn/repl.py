@@ -16,7 +16,7 @@ import numpy as np
 
 from .agent import select_action
 from .clustering import ClusterModel, assign_many
-from .corpus import Corpus
+from .corpus import Corpus, sample_distractors
 from .embeddings import WordEmbeddingTable, embed_corpus, embed_texts
 from .neuralnet import QNetwork
 
@@ -55,7 +55,7 @@ def chat_repl(
             f"network has {net.n_actions} actions but cluster model has k={sentence_model.k}"
         )
     rng = rng if rng is not None else np.random.default_rng(0)
-    sentences = [t.text for d in corpus for t in d.turns]
+    sentences = corpus._turns[1]
     if len(sentences) < candidates:
         raise ValueError(f"corpus has {len(sentences)} sentences; need >= {candidates}")
     vectors, _ = embed_corpus(corpus, table)
@@ -97,7 +97,7 @@ def chat_repl(
             history.append(embed_texts([user], table)[0])
             record("env", user)
 
-            picks = [int(i) for i in rng.choice(len(sentences), size=candidates, replace=False)]
+            picks = sample_distractors(corpus, None, candidates, rng)
             cand_sent = [sentences[i] for i in picks]
             cand_ids = [int(actions[i]) for i in picks]
             state = np.stack(history[-history_len:])[None]

@@ -2,19 +2,22 @@
 episode reward of (possibly distorted) dialogues from their first h
 sentences, and report Pearson correlation as a function of h.
 
-Distortions are drawn and embedded once per corpus and shared across history
-lengths, so the h=50 histories literally contain the h=1 histories as
-prefixes.
+Distortions swap agent turns for sentences of other dialogues drawn by
+`corpus.sample_distractors`, the draw that also supplies the environment's
+candidate distractors. They are drawn and embedded once per corpus and
+shared across history lengths, so the h=50 histories literally contain the
+h=1 histories as prefixes. Run r at history length h trains with the seed
+`corpus.stable_seed(seed, h, r)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DistortedDialogue, distort_dialogue
+from .corpus import Corpus, DistortedDialogue, distort_dialogue, stable_seed
 from .embeddings import WordEmbeddingTable, embed_corpus
 from .neuralnet import Adam, RewardRegressor, regressor_loss_and_grads
 
@@ -37,9 +40,11 @@ HISTORY_LENGTHS = (1, 5, 10, 25, 35, 50)
 
 @dataclass
 class PredictorConfig:
-    history_len: int = 25
+    """Training settings of one regressor (two GRU layers, see
+    `neuralnet.RewardRegressor`); the history length is the study's
+    variable, passed to `history_length_study`."""
+
     hidden_dim: int = 256
-    layers: int = 2
     batch_size: int = 32
     epochs: int = 10
     runs: int = 10
@@ -47,12 +52,8 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.history_len < 1:
-            raise ValueError("history_len must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.layers != 2:
-            raise ValueError("the regressor is fixed at 2 recurrent layers")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (train-mode batch norm)")
         if self.epochs < 1 or self.hidden_dim < 1:
@@ -113,10 +114,7 @@ def train_predictor(
     if n == 0:
         raise ValueError("empty dataset")
     dim = X.shape[2]
-    model = RewardRegressor(
-        dim, cfg.hidden_dim, rng=np.random.default_rng([cfg.seed, 10]),
-        layers=cfg.layers,
-    )
+    model = RewardRegressor(dim, cfg.hidden_dim, rng=np.random.default_rng([cfg.seed, 10]))
     optimizer = Adam(model.params(), lr=cfg.learning_rate)
     order_rng = np.random.default_rng([cfg.seed, 11])
     for _ in range(cfg.epochs):
@@ -178,12 +176,7 @@ def history_length_study(
         X_test, len_test = history_prefixes(*test_emb, h)
         scores = []
         for run in range(cfg.runs):
-            run_cfg = PredictorConfig(
-                history_len=h, hidden_dim=cfg.hidden_dim, layers=cfg.layers,
-                batch_size=cfg.batch_size, epochs=cfg.epochs, runs=cfg.runs,
-                learning_rate=cfg.learning_rate,
-                seed=stable_seed(cfg.seed, h, run),
-            )
+            run_cfg = replace(cfg, seed=stable_seed(cfg.seed, h, run))
             model = train_predictor(X_train, len_train, y_train, run_cfg)
             scores.append(pearson(y_true, predict(model, X_test, len_test)))
         rows.append(
@@ -195,8 +188,3 @@ def history_length_study(
             )
         )
     return rows
-
-
-def stable_seed(*parts) -> int:
-    """Derive a reproducible sub-seed from integer parts."""
-    return int(np.random.SeedSequence(list(int(p) for p in parts)).generate_state(1)[0])

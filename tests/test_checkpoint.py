@@ -123,15 +123,37 @@ def test_agent_checkpoint_contents(tmp_path):
     assert ckpt.kind == "agent"
     assert ckpt.config_hash == "deadbeef"
     assert ckpt.arch == architecture_of(agent.net)
-    prefixes = {k.split(".", 1)[0] for k in ckpt.arrays}
-    assert prefixes == {"net", "target", "adam_m", "adam_v"}
-    assert ckpt.meta["adam_t"] == agent.optimizer.t
-    assert ckpt.meta["global_step"] == agent.global_step
-    assert set(ckpt.meta["rng"]) == {"explore", "replay", "dropout"}
+    # only what load_qnetwork reads: the online network's parameters
+    assert set(ckpt.arrays) == {f"net.{k}" for k in agent.net.params()}
+    assert ckpt.meta == {}
     for k, v in agent.net.params().items():
         np.testing.assert_array_equal(ckpt.arrays[f"net.{k}"], v)
-    for k, v in agent.target.params().items():
-        np.testing.assert_array_equal(ckpt.arrays[f"target.{k}"], v)
+
+
+def test_load_qnetwork_reads_old_layout(tmp_path):
+    # checkpoints written before the trim also held the target network and
+    # the Adam moments, plus training meta; they still load
+    agent = _small_agent(seed=5)
+    agent.target.load_params(
+        {k: v + 1.0 for k, v in agent.net.params().items()})
+    arrays = {}
+    for prefix, params in (("net", agent.net.params()),
+                           ("target", agent.target.params()),
+                           ("adam_m", agent.optimizer.m),
+                           ("adam_v", agent.optimizer.v)):
+        arrays.update({f"{prefix}.{k}": v for k, v in params.items()})
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(path, "agent", architecture_of(agent.net), arrays,
+                    config_hash="cafe", meta={"adam_t": 0, "global_step": 0})
+    net, ckpt = load_qnetwork(path, expected_arch=architecture_of(agent.net))
+    assert {k.split(".", 1)[0] for k in ckpt.arrays} == {
+        "net", "target", "adam_m", "adam_v"}
+    X = np.random.default_rng(1).normal(size=(3, 4, 5))
+    lengths = np.array([4, 1, 3])
+    np.testing.assert_array_equal(
+        net.forward(X, lengths, train_mode=False),
+        agent.net.forward(X, lengths, train_mode=False),
+    )
 
 
 def test_load_qnetwork_roundtrip(tmp_path):

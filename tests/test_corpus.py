@@ -204,6 +204,12 @@ def _pool_reference_sampler(corpus, exclude_id, n, rng):
             for p in np.atleast_1d(picks)]
 
 
+def _texts(corpus, positions):
+    """Texts at turn-index positions, counted dialogue by dialogue."""
+    flat = [t.text for d in corpus.dialogues for t in d.turns]
+    return [flat[p] for p in positions]
+
+
 def test_sample_distractors_matches_pool_reference():
     # ragged dialogues, so picks must be mapped past blocks of every size
     corpus = Corpus([_dialogue(f"d{i}", n) for i, n in enumerate((2, 7, 4, 11, 3, 6))])
@@ -211,7 +217,8 @@ def test_sample_distractors_matches_pool_reference():
         for exclude in (None, *corpus.ids):
             for n in (1, 4, 13):
                 want = _pool_reference_sampler(corpus, exclude, n, np.random.default_rng(seed))
-                got = sample_distractors(corpus, exclude, n, np.random.default_rng(seed))
+                got = _texts(corpus, sample_distractors(
+                    corpus, exclude, n, np.random.default_rng(seed)))
                 assert got == want, (seed, exclude, n)
 
 
@@ -227,14 +234,14 @@ def test_sample_distractors_excludes_active_dialogue():
     own = {t.text for t in corpus.get("a").turns}
     rng = np.random.default_rng(0)
     for _ in range(200):
-        (s,) = sample_distractors(corpus, "a", 1, rng)
+        (s,) = _texts(corpus, sample_distractors(corpus, "a", 1, rng))
         assert s not in own
 
 
 def test_sample_distractors_two_dialogue_case():
     corpus = Corpus([_dialogue("a", 2), _dialogue("b", 2)])
     rng = np.random.default_rng(1)
-    (s,) = sample_distractors(corpus, "a", 1, rng)
+    (s,) = _texts(corpus, sample_distractors(corpus, "a", 1, rng))
     assert s.startswith("b ")
 
 
@@ -247,7 +254,7 @@ def test_sample_distractors_pool_too_small():
 def test_sample_distractors_without_replacement():
     corpus = Corpus([_dialogue("a", 2), _dialogue("b", 8)])
     rng = np.random.default_rng(2)
-    draws = sample_distractors(corpus, "a", 8, rng)
+    draws = _texts(corpus, sample_distractors(corpus, "a", 8, rng))
     assert len(set(draws)) == 8
 
 
@@ -258,7 +265,7 @@ def test_sample_distractors_uniformity():
     counts: dict[str, int] = {}
     n = 10_000
     for _ in range(n):
-        (s,) = sample_distractors(corpus, "a", 1, rng)
+        (s,) = _texts(corpus, sample_distractors(corpus, "a", 1, rng))
         counts[s] = counts.get(s, 0) + 1
     assert len(counts) == 10
     for c in counts.values():

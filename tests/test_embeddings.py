@@ -134,8 +134,8 @@ def _history_env(table, *dialogues):
 def test_history_padding():
     table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     env = _history_env(table, ("a", "b"), ("b", "a", "b", "a", "b"))
-    short, long = env.dialogue_sentence_ids
-    X, lengths = env.batch_states([tuple(short), tuple(long)])
+    # sentence ids count the corpus's turns: d0 is 0..1, d1 is 2..6
+    X, lengths = env.batch_states([(0, 1), (2, 3, 4, 5, 6)])
     assert X.shape == (2, 5, 2)
     assert list(lengths) == [2, 5]
     assert np.allclose(X[0, 0], [1.0, 0.0])
@@ -156,7 +156,7 @@ def test_history_rows_match_embed_sentence():
     table = make_table({"a": [1.0, 3.0], "b": [2.0, -1.0]})
     history = ["a b", "b", "a"]
     env = _history_env(table, history)
-    X, _ = env.batch_states([tuple(env.dialogue_sentence_ids[0])])
+    X, _ = env.batch_states([tuple(range(len(history)))])
     for i, s in enumerate(history):
         ref = np.mean([table.lookup(t) for t in tokenize(s)], axis=0)
         assert np.allclose(X[0, i], ref)

@@ -14,6 +14,7 @@ from chatdqn import (
     episode_reward,
     make_toy_corpus,
     make_toy_embeddings,
+    sample_distractors,
 )
 
 from conftest import topic_cluster_model
@@ -32,7 +33,9 @@ def world():
 
 
 def _texts(env, state):
-    return [env.sentences[i] for i in state.history_ids]
+    """History texts; sentence ids count the corpus's turns in order."""
+    flat = [t.text for d in env.corpus.dialogues for t in d.turns]
+    return [flat[i] for i in state.history_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +105,22 @@ def test_candidates_distractors_never_from_active_dialogue(world):
         for i, s in enumerate(cands.sentences):
             if i != cands.truth_index:
                 assert s not in own
+
+
+def test_candidates_distractors_are_sample_distractors_draw(world):
+    # the env draws its c-1 distractors through the corpus sampler, then
+    # shuffles: an identically seeded rng reproduces the candidate ids
+    _, corpus, _, env = world
+    for seed in range(5):
+        d = corpus.dialogues[seed]
+        state = env.reset(d)
+        cands = env.make_candidates(state, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        picked = sample_distractors(env.corpus, d.id, env.candidates - 1, rng)
+        truth = state.history_ids[0] + state.turn_index
+        ids = np.array([truth] + picked)[rng.permutation(env.candidates)]
+        assert cands.sentence_ids == tuple(int(i) for i in ids)
+        assert cands.sentence_ids[cands.truth_index] == truth
 
 
 def test_candidates_truth_position_varies(world):

@@ -93,6 +93,16 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("key", ["layers", "history_len"])
+def test_config_rejects_deleted_predictor_knobs(key):
+    # the regressor's depth is fixed and the study varies h itself, so a
+    # config that still sets either knob is refused rather than ignored
+    d = ExperimentConfig(corpus="c", embeddings={6: "e"}).to_dict()
+    d["predictor"][key] = 2
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(d)
+
+
 def test_config_rejects_bad_version():
     d = ExperimentConfig(corpus="c", embeddings={6: "e"}).to_dict()
     d["version"] = 2

@@ -16,9 +16,9 @@ from chatdqn.reward_predictor import (
     history_prefixes,
     pearson,
     predict,
-    stable_seed,
     train_predictor,
 )
+from chatdqn.corpus import stable_seed
 from chatdqn.embeddings import embed_corpus, embed_texts
 from chatdqn.neuralnet import regressor_loss_and_grads
 
@@ -203,7 +203,7 @@ def test_single_example_overfit(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.5,), np.random.default_rng(10))
     X, lengths, y = _examples(distorted[:1], table, h=5)
-    cfg = PredictorConfig(history_len=5, hidden_dim=12, batch_size=2,
+    cfg = PredictorConfig(hidden_dim=12, batch_size=2,
                           epochs=200, runs=1, learning_rate=0.05, seed=0)
     model = train_predictor(X, lengths, y, cfg)
     pair = [0, 0]
@@ -218,7 +218,7 @@ def test_constant_targets_learn_constant(tiny_world):
     X, lengths, y = _examples(distorted, table, h=4)
     const = 3
     y[:] = const
-    cfg = PredictorConfig(history_len=4, hidden_dim=10, batch_size=8,
+    cfg = PredictorConfig(hidden_dim=10, batch_size=8,
                           epochs=150, runs=1, learning_rate=0.03, seed=1)
     model = train_predictor(X, lengths, y, cfg)
     pred = predict(model, X, lengths)
@@ -230,7 +230,7 @@ def test_train_predictor_deterministic(tiny_world):
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS,
                                np.random.default_rng(12))
     examples = _examples(distorted, table, h=5)
-    cfg = PredictorConfig(history_len=5, hidden_dim=8, batch_size=16,
+    cfg = PredictorConfig(hidden_dim=8, batch_size=16,
                           epochs=3, runs=1, learning_rate=1e-3, seed=21)
     m1 = train_predictor(*examples, cfg)
     m2 = train_predictor(*examples, cfg)
@@ -244,9 +244,9 @@ def test_different_seeds_differ(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.5,), np.random.default_rng(13))
     examples = _examples(distorted, table, h=3)
-    base = PredictorConfig(history_len=3, hidden_dim=8, batch_size=8,
+    base = PredictorConfig(hidden_dim=8, batch_size=8,
                            epochs=2, runs=1, seed=0)
-    other = PredictorConfig(history_len=3, hidden_dim=8, batch_size=8,
+    other = PredictorConfig(hidden_dim=8, batch_size=8,
                             epochs=2, runs=1, seed=1)
     m1 = train_predictor(*examples, base)
     m2 = train_predictor(*examples, other)
@@ -256,7 +256,7 @@ def test_different_seeds_differ(tiny_world):
 
 
 def test_empty_dataset_rejected():
-    cfg = PredictorConfig(history_len=3, hidden_dim=4, batch_size=2,
+    cfg = PredictorConfig(hidden_dim=4, batch_size=2,
                           epochs=1, runs=1)
     with pytest.raises(ValueError, match="empty"):
         train_predictor(np.zeros((0, 3, 2)), np.zeros(0, dtype=np.int64), np.zeros(0), cfg)
@@ -266,7 +266,7 @@ def test_predict_shape_and_finiteness(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0, 1.0), np.random.default_rng(14))
     X, lengths, y = _examples(distorted, table, h=4)
-    cfg = PredictorConfig(history_len=4, hidden_dim=6, batch_size=8,
+    cfg = PredictorConfig(hidden_dim=6, batch_size=8,
                           epochs=1, runs=1, seed=2)
     model = train_predictor(X, lengths, y, cfg)
     pred = predict(model, X, lengths)
@@ -278,11 +278,7 @@ def test_predict_shape_and_finiteness(tiny_world):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PredictorConfig(history_len=0)
-    with pytest.raises(ValueError):
         PredictorConfig(runs=0)
-    with pytest.raises(ValueError):
-        PredictorConfig(layers=3)
     with pytest.raises(ValueError):
         PredictorConfig(batch_size=1)
 
@@ -293,11 +289,27 @@ def test_stable_seed_reproducible_and_distinct():
     assert stable_seed(0) >= 0
 
 
+def test_stable_seed_int_parts_are_seed_sequence_words():
+    # pins every agent seed (experiment._agent_cfg) and predictor run seed
+    for parts in [(0,), (1, 2, 3), (7, 300, 19), (2**40, 5)]:
+        want = int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+        assert stable_seed(*parts) == want
+
+
+def test_stable_seed_str_part_is_its_utf8_bytes():
+    did = "tr-00042"
+    as_int = int.from_bytes(did.encode("utf-8"), "big")
+    assert stable_seed(3, did) == stable_seed(3, as_int)
+    assert stable_seed(3, did) != stable_seed(3, "tr-00043")
+    assert stable_seed(3, did) != stable_seed(4, did)
+    assert stable_seed(0, "dialogue é") == stable_seed(0, "dialogue é")
+
+
 def test_study_shape_and_aggregates(tiny_world):
     table, _ = tiny_world
     train_c = make_toy_corpus(8, topics=range(4), seed=15, id_prefix="tr")
     test_c = make_toy_corpus(4, topics=range(4), seed=16, id_prefix="te")
-    cfg = PredictorConfig(history_len=5, hidden_dim=6, batch_size=8,
+    cfg = PredictorConfig(hidden_dim=6, batch_size=8,
                           epochs=2, runs=2, learning_rate=1e-3, seed=3)
     rows = history_length_study(train_c, test_c, table, cfg,
                                 lengths=(1, 5), fractions=(0.0, 1.0))
@@ -321,7 +333,7 @@ def test_study_deterministic(tiny_world):
     table, _ = tiny_world
     train_c = make_toy_corpus(6, topics=range(4), seed=17, id_prefix="tr")
     test_c = make_toy_corpus(3, topics=range(4), seed=18, id_prefix="te")
-    cfg = PredictorConfig(history_len=5, hidden_dim=5, batch_size=8,
+    cfg = PredictorConfig(hidden_dim=5, batch_size=8,
                           epochs=1, runs=2, seed=4)
     r1 = history_length_study(train_c, test_c, table, cfg,
                               lengths=(1, 3), fractions=(0.0, 1.0))
