@@ -6,6 +6,12 @@ greedy-evaluation loops.
 States live in replay as tuples of global sentence ids (already truncated
 to the history cap); the environment materializes them into padded batches
 on demand.
+
+Each replay slot also caches its TD target. The target network is frozen
+between syncs, so a transition's target is a fixed number until the next
+`sync_target`: a learn step runs the target network only on the sampled
+slots whose cache is stale, that is, filled or overwritten since their
+target was computed, or not computed since the last sync.
 """
 
 from __future__ import annotations
@@ -97,7 +103,14 @@ class Transition:
 
 
 class ReplayMemory:
-    """Fixed-capacity FIFO ring buffer."""
+    """Fixed-capacity FIFO ring buffer of transitions, one per slot, with a
+    cached TD target per slot in `targets`.
+
+    NaN marks a stale target. `append` marks the slot it fills or
+    overwrites stale, and `mark_stale` marks every slot stale (the agent
+    calls it at each target sync). `compute_targets` refuses non-finite
+    targets, so a stale slot can never pass for a computed one.
+    """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
@@ -105,9 +118,13 @@ class ReplayMemory:
         self.capacity = capacity
         self._items: list[Transition] = []
         self._pos = 0
+        self.targets = np.full(capacity, np.nan)
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __getitem__(self, slot: int) -> Transition:
+        return self._items[slot]
 
     @property
     def items(self) -> list[Transition]:
@@ -115,16 +132,23 @@ class ReplayMemory:
 
     def append(self, t: Transition) -> None:
         if len(self._items) < self.capacity:
+            slot = len(self._items)
             self._items.append(t)
         else:
-            self._items[self._pos] = t  # overwrite oldest
-            self._pos = (self._pos + 1) % self.capacity
+            slot = self._pos  # overwrite oldest
+            self._items[slot] = t
+            self._pos = (slot + 1) % self.capacity
+        self.targets[slot] = np.nan
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
+    def mark_stale(self) -> None:
+        self.targets.fill(np.nan)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n distinct slots drawn uniformly: `rng.choice(len(self), n,
+        replace=False)`."""
         if n > len(self._items):
             raise ValueError(f"cannot sample {n} of {len(self._items)} transitions")
-        idx = rng.choice(len(self._items), size=n, replace=False)
-        return [self._items[i] for i in idx]
+        return rng.choice(len(self._items), size=n, replace=False)
 
 
 @dataclass
@@ -215,7 +239,12 @@ def compute_targets(
 
 class ChatDQNAgent:
     """Owns the online/target networks, optimizer, replay memory, and the
-    named rng streams that make runs reproducible."""
+    named rng streams that make runs reproducible.
+
+    `target_rows_computed` and `target_rows_cached` count the TD targets of
+    sampled slots that learn steps computed and that they read from the
+    replay cache.
+    """
 
     def __init__(self, cfg: AgentConfig):
         self.cfg = cfg
@@ -232,13 +261,27 @@ class ChatDQNAgent:
         self.rng_dropout = np.random.default_rng([cfg.seed, 5])
         self.global_step = 0
         self.sync_history: list[int] = []
+        self.target_rows_computed = 0
+        self.target_rows_cached = 0
 
     def sync_target(self) -> None:
         self.target.load_params(self.net.params())
+        self.memory.mark_stale()
 
-    def train_step(self, batch: Sequence[Transition], materialize) -> float:
-        """One TD regression step on a minibatch; returns the batch loss."""
-        y = compute_targets(batch, self.target, self.cfg.gamma, materialize)
+    def train_step(self, slots: np.ndarray, materialize) -> float:
+        """One TD regression step on the replay slots `slots`; returns the
+        batch loss. Only the stale slots' targets are computed, in one
+        `compute_targets` call, and then cached."""
+        slots = np.asarray(slots, dtype=np.int64)
+        batch = [self.memory[i] for i in slots]
+        y = self.memory.targets[slots]
+        stale = np.flatnonzero(np.isnan(y))
+        if stale.size:
+            y[stale] = compute_targets(
+                [batch[i] for i in stale], self.target, self.cfg.gamma, materialize)
+            self.memory.targets[slots[stale]] = y[stale]
+        self.target_rows_computed += stale.size
+        self.target_rows_cached += len(slots) - stale.size
         X, lengths = materialize([t.s for t in batch])
         actions = np.array([t.a for t in batch], dtype=np.int64)
         loss, grads = qnet_loss_and_grads(
@@ -336,8 +379,8 @@ def train(
             agent.global_step += 1
             ep_rewards.append(r)
             if len(agent.memory) >= max(cfg.burn_in, cfg.batch_size):
-                batch = agent.memory.sample(cfg.batch_size, agent.rng_replay)
-                agent.train_step(batch, env.batch_states)
+                slots = agent.memory.sample(cfg.batch_size, agent.rng_replay)
+                agent.train_step(slots, env.batch_states)
             if agent.global_step % cfg.target_sync_period == 0:
                 agent.sync_target()
                 agent.sync_history.append(agent.global_step)

@@ -10,7 +10,9 @@ and rerun-determinism bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +26,29 @@ __all__ = [
     "save_agent_checkpoint",
     "load_qnetwork",
     "architecture_of",
+    "atomic_write",
 ]
 
 _MAGIC = b"CDQ1"
 _VERSION = 1
+
+
+@contextmanager
+def atomic_write(path: str, mode: str, **open_kwargs):
+    """Open `path + ".tmp"` for writing; when the block completes, rename it
+    over `path` (`os.replace`). If the block raises, the temp file is
+    removed and `path` keeps its previous contents, so a write that fails
+    halfway never leaves a partial `path`. A process killed mid-write may
+    leave the ".tmp" file behind, but never a partial `path`."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(eq=False)
@@ -57,7 +78,7 @@ def save_checkpoint(
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack(">I", len(header_bytes)))
         fh.write(header_bytes)

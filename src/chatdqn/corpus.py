@@ -67,10 +67,6 @@ class Dialogue:
     def n_agent_turns(self) -> int:
         return len(self.agent_turn_indices)
 
-    @property
-    def sentences(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.turns)
-
 
 def validate_dialogue(d: Dialogue) -> None:
     """Enforce the dialogue invariants: >= 2 turns, nonempty text, strict

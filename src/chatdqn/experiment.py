@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .agent import AgentConfig, evaluate, train
-from .checkpoint import load_qnetwork, save_agent_checkpoint
+from .checkpoint import atomic_write, load_qnetwork, save_agent_checkpoint
 from .clustering import (
     dialogue_vectors,
     fit,
@@ -236,7 +236,7 @@ def _marker_path(out: str, stage: str) -> str:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
@@ -436,10 +436,13 @@ def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
     save_agent_checkpoint(os.path.join(rdir, "checkpoint.bin"), agent_, ctx.h)
     emit_learning_curve(rdir)
     _write_json(os.path.join(rdir, "done.json"), {"config_hash": ctx.h})
+    rows = agent_.target_rows_computed + agent_.target_rows_cached
+    hit_rate = f"{agent_.target_rows_cached / rows:.1%}" if rows else "n/a"
     _say(
         ctx,
         f"train dim={dim} split={split.split_id}: "
-        f"{report.episodes} episodes, {report.steps} steps",
+        f"{report.episodes} episodes, {report.steps} steps, "
+        f"TD-target cache hit rate {hit_rate}, {report.wall_clock_s:.1f} s",
     )
     return rdir
 

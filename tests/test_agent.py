@@ -229,8 +229,8 @@ def test_replay_sample_without_replacement():
     mem = ReplayMemory(capacity=8)
     for i in range(8):
         mem.append(_tr(i))
-    batch = mem.sample(8, np.random.default_rng(0))
-    assert sorted(t.s[0] for t in batch) == list(range(8))
+    slots = mem.sample(8, np.random.default_rng(0))
+    assert sorted(mem[i].s[0] for i in slots) == list(range(8))
 
 
 def test_replay_sample_too_large():
@@ -238,6 +238,34 @@ def test_replay_sample_too_large():
     mem.append(_tr(0))
     with pytest.raises(ValueError):
         mem.sample(2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_appended", [7, 12])  # below capacity, wrapped
+def test_replay_sample_is_the_rng_choice_draw(n_appended):
+    # the replay draw stays one rng.choice call, so replay sequences do not
+    # depend on how slots cache their targets
+    mem = ReplayMemory(capacity=8)
+    for i in range(n_appended):
+        mem.append(_tr(i))
+    n_items = len(mem)
+    for seed in range(5):
+        slots = mem.sample(5, np.random.default_rng(seed))
+        ref = np.random.default_rng(seed).choice(n_items, size=5, replace=False)
+        assert np.array_equal(slots, ref)
+
+
+def test_replay_append_marks_its_slot_stale():
+    mem = ReplayMemory(capacity=3)
+    assert np.isnan(mem.targets).all()
+    for i in range(3):
+        mem.append(_tr(i))
+    mem.targets[:] = [1.0, 2.0, 3.0]
+    mem.append(_tr(3))  # overwrites slot 0, the oldest
+    assert mem[0].s == (3,)
+    assert np.isnan(mem.targets[0])
+    assert np.array_equal(mem.targets[1:], [2.0, 3.0])
+    mem.mark_stale()
+    assert np.isnan(mem.targets).all()
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +392,110 @@ def test_single_transition_overfit(train_world):
     nxt, r, _ = env.step(state, truth, cands)
     t = Transition(s=state.history_ids, a=truth, r=r,
                    s_next=nxt.history_ids, done=True, candidate_ids_next=())
-    losses = [agent.train_step([t, t], env.batch_states) for _ in range(500)]
+    agent.memory.append(t)
+    agent.memory.append(t)
+    slots = np.array([0, 1])
+    losses = [agent.train_step(slots, env.batch_states) for _ in range(500)]
     assert losses[-1] < 1e-3
     assert all(np.isfinite(l) for l in losses)
+
+
+# ---------------------------------------------------------------------------
+# TD-target cache
+
+
+def test_cached_targets_match_compute_targets(train_world, monkeypatch):
+    # the ring wraps (capacity 60, 400 steps) and the target net syncs every
+    # 50 steps; every target a learn step reads from the cache equals a fresh
+    # compute_targets on the same transitions, and the first learn step after
+    # a sync computes every row
+    table, corpus, model, vectors = train_world
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
+        burn_in=20, learn_steps=400, batch_size=16, memory_capacity=60,
+        target_sync_period=50, test_steps=100, seed=9,
+    )
+    train_step, sync_target = ChatDQNAgent.train_step, ChatDQNAgent.sync_target
+    synced = [False]
+    served = []
+
+    def synced_flag(agent):
+        sync_target(agent)
+        synced[0] = True
+
+    def checked(agent, slots, materialize):
+        batch = [agent.memory[i] for i in slots]
+        ref = compute_targets(batch, agent.target, cfg.gamma, materialize)
+        cached = agent.memory.targets[slots]
+        hit = ~np.isnan(cached)
+        np.testing.assert_allclose(cached[hit], ref[hit], rtol=0, atol=1e-12)
+        if synced[0]:
+            assert not hit.any()
+            synced[0] = False
+        served.append(int(hit.sum()))
+        computed = agent.target_rows_computed
+        loss = train_step(agent, slots, materialize)
+        assert agent.target_rows_computed - computed == len(slots) - hit.sum()
+        np.testing.assert_allclose(agent.memory.targets[slots], ref, rtol=0, atol=1e-12)
+        return loss
+
+    monkeypatch.setattr(ChatDQNAgent, "sync_target", synced_flag)
+    monkeypatch.setattr(ChatDQNAgent, "train_step", checked)
+    report, agent, _ = train(corpus, cfg, model, vectors)
+    assert len(agent.sync_history) >= 5
+    assert report.steps > cfg.memory_capacity
+    assert sum(served) == agent.target_rows_cached > 0
+    assert (agent.target_rows_computed + agent.target_rows_cached
+            == len(served) * cfg.batch_size)
+
+
+def test_sync_target_makes_next_step_recompute_every_row(train_world):
+    table, corpus, model, vectors = train_world
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
+        burn_in=30, learn_steps=60, batch_size=8, memory_capacity=100,
+        target_sync_period=10**6, test_steps=100, seed=10,
+    )
+    _, agent, env = train(corpus, cfg, model, vectors)
+    slots = agent.memory.sample(cfg.batch_size, agent.rng_replay)
+    agent.train_step(slots, env.batch_states)  # fills the sampled slots
+    computed, cached = agent.target_rows_computed, agent.target_rows_cached
+    agent.train_step(slots, env.batch_states)
+    assert (agent.target_rows_computed, agent.target_rows_cached) == (computed, cached + 8)
+    agent.sync_target()
+    assert np.isnan(agent.memory.targets).all()
+    agent.train_step(slots, env.batch_states)
+    assert (agent.target_rows_computed, agent.target_rows_cached) == (computed + 8, cached + 8)
+    ref = compute_targets([agent.memory[i] for i in slots], agent.target, cfg.gamma,
+                          env.batch_states)
+    np.testing.assert_allclose(agent.memory.targets[slots], ref, rtol=0, atol=1e-12)
+
+
+def test_overwritten_slot_never_serves_the_old_target(train_world):
+    table, corpus, model, vectors = train_world
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
+        burn_in=0, learn_steps=1, batch_size=2, memory_capacity=2,
+        target_sync_period=10**6, test_steps=10, seed=11,
+    )
+    agent = ChatDQNAgent(cfg)
+    env = DialogueEnv(corpus, model, vectors, candidates=3,
+                      rng=np.random.default_rng(32))
+    old = Transition(s=(0, 1), a=0, r=1, s_next=(0, 1, 2), done=True,
+                     candidate_ids_next=())
+    new = Transition(s=(0, 1), a=0, r=-1, s_next=(0, 1, 2), done=False,
+                     candidate_ids_next=(0, 1))
+    agent.memory.append(old)
+    agent.memory.append(old)
+    slots = np.array([0, 1])
+    agent.train_step(slots, env.batch_states)
+    assert np.array_equal(agent.memory.targets, [1.0, 1.0])
+    agent.memory.append(new)  # overwrites slot 0
+    agent.train_step(slots, env.batch_states)
+    ref = compute_targets([new], agent.target, cfg.gamma, env.batch_states)
+    assert agent.memory.targets[0] == pytest.approx(ref[0], abs=1e-12)
+    assert agent.memory.targets[1] == 1.0
+    assert (agent.target_rows_computed, agent.target_rows_cached) == (3, 1)
 
 
 def test_small_run_learns_above_random(train_world):

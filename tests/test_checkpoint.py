@@ -1,5 +1,7 @@
 """Binary checkpoint container: bit-exact roundtrips and corruption checks."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,26 @@ def test_rewrite_is_byte_identical(tmp_path):
     save_checkpoint(p1, "k", {}, arrays, config_hash="h")
     save_checkpoint(p2, "k", {}, arrays, config_hash="h")
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class _FailsToConvert:
+    """An array entry that raises once the payload is being written."""
+
+    shape = (2,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("disk full")
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, "k", {}, _arrays(0), config_hash="h")
+    before = open(path, "rb").read()
+    arrays = {**_arrays(1), "zz": _FailsToConvert()}  # written after the others
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(path, "k", {}, arrays, config_hash="h")
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["c.ckpt"]
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -31,6 +31,7 @@ from chatdqn.experiment import (
     run_experiment,
     save_experiment_config,
     train_single,
+    _write_json,
 )
 from chatdqn.reward_predictor import PredictorConfig
 
@@ -444,3 +445,20 @@ def test_curve_constant_rewards(tmp_path):
 def test_curve_missing_report(tmp_path):
     with pytest.raises(FileNotFoundError):
         emit_learning_curve(str(tmp_path / "void"))
+
+
+def test_failed_json_write_keeps_previous_file(tmp_path, monkeypatch):
+    # markers, report.json and done.json all go through _write_json
+    path = str(tmp_path / "done.json")
+    _write_json(path, {"config_hash": "old"})
+    before = open(path, "rb").read()
+
+    def dump_half(obj, fh, **kwargs):
+        fh.write('{"config_hash":')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        _write_json(path, {"config_hash": "new"})
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["done.json"]
