@@ -5,7 +5,7 @@
 # Run from the repo root:  bash demos/cli_walkthrough.sh
 set -euo pipefail
 
-ROOT="$(mktemp -d /tmp/chatdqn-cli.XXXXXX)"
+ROOT="$(mktemp -d "${TMPDIR:-/tmp}/chatdqn-cli.XXXXXX")"
 echo "workspace: $ROOT"
 cd "$ROOT"
 

@@ -126,10 +126,6 @@ class ReplayMemory:
     def __getitem__(self, slot: int) -> Transition:
         return self._items[slot]
 
-    @property
-    def items(self) -> list[Transition]:
-        return list(self._items)
-
     def append(self, t: Transition) -> None:
         if len(self._items) < self.capacity:
             slot = len(self._items)
@@ -153,7 +149,7 @@ class ReplayMemory:
 
 @dataclass
 class RunReport:
-    """Per-episode training rewards plus evaluation summaries.
+    """Per-episode training rewards of one run.
 
     wall_clock_s is informational only and is never serialized (reports must
     be byte-identical across reruns).
@@ -163,10 +159,6 @@ class RunReport:
     moving_avg: list[float] = field(default_factory=list)
     episodes: int = 0
     steps: int = 0
-    config_hash: str = ""
-    eval_train_mean: float | None = None
-    eval_test_mean: float | None = None
-    eval_budget_steps: int | None = None
     wall_clock_s: float | None = None
 
 
@@ -322,7 +314,6 @@ def train(
     sentence_model: ClusterModel,
     vectors: np.ndarray,
     dialogue_ids: Sequence[str] | None = None,
-    config_hash: str = "",
     log: Callable[[str], None] | None = None,
 ) -> tuple[RunReport, ChatDQNAgent, DialogueEnv]:
     """Run the learning loop on a dialogue split (default: whole corpus).
@@ -331,7 +322,7 @@ def train(
     are sampled uniformly with replacement; candidate distractors
     come from the split itself. Training stops at the first episode boundary
     at or past cfg.learn_steps. Returns the report, the trained agent, and
-    the environment (reusable for greedy evaluation on the same split).
+    the environment, whose `batch_states` materializes the replayed states.
     """
     split, rows = _subset(corpus, dialogue_ids)
     if len(split) == 0:
@@ -397,7 +388,6 @@ def train(
         moving_avg=moving_average(rewards),
         episodes=len(rewards),
         steps=agent.global_step,
-        config_hash=config_hash,
         wall_clock_s=time.monotonic() - started,
     )
     return report, agent, env
@@ -412,7 +402,6 @@ def evaluate(
     dialogue_ids: Sequence[str] | None = None,
     seed: int = 0,
     policy: Callable | None = None,
-    env: DialogueEnv | None = None,
 ) -> EvalResult:
     """Greedy (epsilon=0) evaluation: one pass over the dialogue set, capped
     at cfg.test_steps env turns. `vectors` holds the corpus's sentence
@@ -427,14 +416,13 @@ def evaluate(
     subset, rows = _subset(corpus, dialogue_ids)
     if len(subset) == 0:
         raise ValueError("empty evaluation set")
-    if env is None:
-        env = DialogueEnv(
-            subset, sentence_model, vectors[rows], candidates=cfg.candidates,
-            rng=np.random.default_rng([seed, 7]),
-        )
+    env = DialogueEnv(
+        subset, sentence_model, vectors[rows], candidates=cfg.candidates,
+        rng=np.random.default_rng([seed, 7]),
+    )
     cap = cfg.history_len
 
-    def greedy(state, cands, env_, rng):
+    def greedy(state, cands, rng):
         X, lengths = env.batch_states([state.history_ids[-cap:]])
         q = net.forward(X, lengths, train_mode=False)[0]
         return select_action(q, cands.action_ids, 0.0, rng)
@@ -448,12 +436,12 @@ def evaluate(
             truncated = True
             break
         rng_d = np.random.default_rng(stable_seed(seed, d.id))
-        state = env.reset(env.corpus.get(d.id))
+        state = env.reset(d)
         ep: list[int] = []
         while not state.done:
             cands = env.make_candidates(state, rng_d)
             if policy is None:
-                action = greedy(state, cands, env, rng_d)
+                action = greedy(state, cands, rng_d)
             else:
                 action = policy(state, cands, env)
             state, r, _ = env.step(state, action, cands)

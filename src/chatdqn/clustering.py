@@ -26,7 +26,6 @@ __all__ = [
     "euclidean",
     "kmeanspp_seed",
     "fit",
-    "assign",
     "assign_many",
     "dialogue_vectors",
     "pca_project",
@@ -212,17 +211,9 @@ def fit(
     return model
 
 
-def assign(model: ClusterModel, x) -> int:
-    """Index of the nearest centroid; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"vector shape {x.shape} != ({model.dim},)")
-    d2 = np.sum((model.centroids - x) ** 2, axis=1)
-    return int(np.argmin(d2))
-
-
 def assign_many(model: ClusterModel, X) -> np.ndarray:
-    """Vectorized `assign` over the rows of X."""
+    """Index of the nearest centroid of each row of X, by the squared
+    distances of `fit`'s assignment passes; ties go to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"points shape {X.shape} incompatible with dim {model.dim}")

@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import clustering
-from .clustering import ClusterModel
+from .clustering import ClusterModel, assign_many
 from .embeddings import tokenize
 
 __all__ = [
@@ -106,9 +105,6 @@ class Corpus:
     def __iter__(self):
         return iter(self._dialogues)
 
-    def __contains__(self, dialogue_id: str) -> bool:
-        return dialogue_id in self._by_id
-
     def get(self, dialogue_id: str) -> Dialogue:
         return self._dialogues[self._by_id[dialogue_id]]
 
@@ -145,7 +141,6 @@ class DistortedDialogue:
     episode reward an agent uttering these turns would earn.
     """
 
-    base_id: str
     turns: tuple[Turn, ...]
     replaced_mask: tuple[bool, ...]  # one flag per agent turn
     label: int
@@ -265,7 +260,8 @@ def split_corpus(
     corpus: Corpus, dialogue_model: ClusterModel, points: np.ndarray
 ) -> list[DataSplit]:
     """Partition dialogues by the cluster of their dialogue vector, points[i]
-    being the vector of the i-th dialogue (see `clustering.dialogue_vectors`).
+    being the vector of the i-th dialogue (see `clustering.dialogue_vectors`),
+    labelled by `clustering.assign_many`, the nearest-centroid rule of `fit`.
 
     Returns one DataSplit per cluster id (possibly empty) so split_id always
     equals the cluster id.
@@ -273,8 +269,8 @@ def split_corpus(
     if len(points) != len(corpus):
         raise ValueError(f"{len(points)} dialogue vectors for {len(corpus)} dialogues")
     buckets: list[list[str]] = [[] for _ in range(dialogue_model.k)]
-    for d, v in zip(corpus, points):
-        buckets[clustering.assign(dialogue_model, v)].append(d.id)
+    for d, j in zip(corpus, assign_many(dialogue_model, points).tolist()):
+        buckets[j].append(d.id)
     return [
         DataSplit(split_id=j, dialogue_ids=tuple(ids)) for j, ids in enumerate(buckets)
     ]
@@ -363,7 +359,6 @@ def distort_dialogue(
         else:
             mask.append(False)
     return DistortedDialogue(
-        base_id=d.id,
         turns=tuple(turns),
         replaced_mask=tuple(mask),
         label=n_agent - 2 * n_replace,

@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import clustering
-from .clustering import ClusterModel
+from .clustering import ClusterModel, assign_many
 from .corpus import Corpus, Dialogue, sample_distractors
 
 __all__ = [
@@ -75,7 +74,6 @@ class DialogueEnv:
         if len(corpus) == 0:
             raise ValueError("empty corpus")
         self.corpus = corpus
-        self.model = sentence_model
         self.candidates = candidates
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._offsets, self._texts = corpus._turns
@@ -86,16 +84,7 @@ class DialogueEnv:
             )
         # One extra zero row so padded id matrices can gather in one shot.
         self._vectors_ext = np.vstack([vectors, np.zeros((1, sentence_model.dim))])
-        self.vectors = self._vectors_ext[:-1]
-        self.sent_action = clustering.assign_many(sentence_model, vectors)
-
-    @property
-    def n_actions(self) -> int:
-        return self.model.k
-
-    @property
-    def n_sentences(self) -> int:
-        return len(self._texts)
+        self.sent_action = assign_many(sentence_model, vectors)
 
     def reset(self, dialogue: Dialogue) -> EnvState:
         """Start an episode: the history holds the env's opening sentence and
@@ -177,7 +166,7 @@ class DialogueEnv:
         (B, T, m) batch plus its lengths vector. T = longest history (>= 1)."""
         lengths = np.array([len(t) for t in id_tuples], dtype=np.int64)
         t_max = max(1, int(lengths.max()) if len(lengths) else 1)
-        pad = self.n_sentences  # index of the all-zeros row
+        pad = len(self._texts)  # index of the all-zeros row
         idx = np.full((len(id_tuples), t_max), pad, dtype=np.int64)
         for i, ids in enumerate(id_tuples):
             if ids:

@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ValueError("set exactly one of corpus / ingest_from")
         if not self.embeddings:
             raise ValueError("at least one embedding table is required")
+        for name in ("seed", "k_splits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_splits < 1:
             raise ValueError("k_splits must be >= 1")
 
@@ -171,11 +175,11 @@ def save_experiment_config(cfg: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
-def load_experiment_config(path: str, apply_env: bool = True) -> ExperimentConfig:
+def load_experiment_config(path: str) -> ExperimentConfig:
     """Load, validate referenced paths, and apply the CHATDQN_SEED override."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
-    if apply_env and os.environ.get(SEED_ENV_VAR):
+    if os.environ.get(SEED_ENV_VAR):
         raw = os.environ[SEED_ENV_VAR]
         try:
             cfg.seed = int(raw)
@@ -411,13 +415,18 @@ def load_policy(cfg: ExperimentConfig, checkpoint_path: str):
 
 
 def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
+    """Train the (dim, split) run into its run directory, unless its
+    `done.json` already carries the config hash; returns the directory."""
     cfg = ctx.cfg
     rdir = _run_dir(ctx.out, dim, split.split_id)
+    done = os.path.join(rdir, "done.json")
+    if os.path.exists(done) and _read_json(done).get("config_hash") == ctx.h:
+        return rdir
     os.makedirs(rdir, exist_ok=True)
     acfg = _agent_cfg(cfg, dim, split.split_id)
     report, agent_, _env = train(
         ctx.corpus, acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
-        dialogue_ids=split.dialogue_ids, config_hash=ctx.h, log=ctx.log,
+        dialogue_ids=split.dialogue_ids, log=ctx.log,
     )
     _write_json(
         os.path.join(rdir, "report.json"),
@@ -435,7 +444,7 @@ def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
     )
     save_agent_checkpoint(os.path.join(rdir, "checkpoint.bin"), agent_, ctx.h)
     emit_learning_curve(rdir)
-    _write_json(os.path.join(rdir, "done.json"), {"config_hash": ctx.h})
+    _write_json(done, {"config_hash": ctx.h})
     rows = agent_.target_rows_computed + agent_.target_rows_cached
     hit_rate = f"{agent_.target_rows_cached / rows:.1%}" if rows else "n/a"
     _say(
@@ -455,10 +464,7 @@ def _stage_train(ctx: _Context) -> None:
             if len(split.dialogue_ids) < 2:
                 ctx.skipped.append([dim, split.split_id])
                 continue
-            rdir = _run_dir(ctx.out, dim, split.split_id)
-            done = os.path.join(rdir, "done.json")
-            if not (os.path.exists(done) and _read_json(done).get("config_hash") == ctx.h):
-                _train_one(ctx, dim, split)
+            _train_one(ctx, dim, split)
             ctx.trained.append([dim, split.split_id])
     if not ctx.trained:
         raise ValueError("no split has the >= 2 dialogues needed to train")
@@ -592,7 +598,7 @@ def _stage_report(ctx: _Context) -> None:
         rows.append((label, None, None, None, bounds_tr[i], bounds_tr[i], bounds_te[i]))
 
     path = os.path.join(ctx.out, "report.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={ctx.h}\n")
         fh.write(f"# eval_budget_steps={cfg.agent.test_steps}\n")
         w = csv.writer(fh, lineterminator="\n")
@@ -730,14 +736,7 @@ def train_single(cfg: ExperimentConfig, dim: int, split_id: int, log=None) -> st
     if len(split.dialogue_ids) < 2:
         raise ValueError(f"split {split_id} has {len(split.dialogue_ids)} dialogues; need >= 2")
 
-    def body():
-        rdir = _run_dir(ctx.out, dim, split_id)
-        done = os.path.join(rdir, "done.json")
-        if os.path.exists(done) and _read_json(done).get("config_hash") == ctx.h:
-            return
-        _train_one(ctx, dim, split)
-
-    _run_stage("train", body)
+    _run_stage("train", lambda: _train_one(ctx, dim, split))
     return _run_dir(ctx.out, dim, split_id)
 
 
@@ -832,14 +831,14 @@ def emit_learning_curve(run_dir: str):
     moving = rep["moving_avg"]
     h = rep.get("config_hash", "")
     cpath = os.path.join(run_dir, "curve.csv")
-    with open(cpath, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(cpath, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={h}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["episode", "reward", "moving_avg"])
         for i, (r, m) in enumerate(zip(rewards, moving), start=1):
             w.writerow([i, r, f"{m:.6f}"])
     spath = os.path.join(run_dir, "curve.svg")
-    with open(spath, "w", encoding="utf-8") as fh:
+    with atomic_write(spath, "w", encoding="utf-8") as fh:
         fh.write(_svg_learning_curve(rewards, moving, h))
     return cpath, spath
 
@@ -871,7 +870,7 @@ def reward_study(
         lengths=lengths, fractions=fractions,
     )
     path = out_path or os.path.join(ctx.out, "study.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={ctx.h}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["h", "run", "pearson"])

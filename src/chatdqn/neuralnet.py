@@ -193,12 +193,10 @@ def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
 
 def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = None):
     """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate). Identity in eval mode or at rate 0."""
-    y, _ = _dropout_cached(np.asarray(x, dtype=np.float64), rate, train_mode, rng)
-    return y
-
-
-def _dropout_cached(x, rate, train_mode, rng):
+    1/(1-rate). Returns (y, mask), mask being the scaled keep mask that the
+    backward pass multiplies by, or None for the identity (eval mode or
+    rate 0)."""
+    x = np.asarray(x, dtype=np.float64)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must satisfy 0 <= rate < 1, got {rate}")
     if not train_mode or rate == 0.0:
@@ -217,18 +215,10 @@ def batchnorm_forward(
 
     Train mode normalizes by biased batch statistics and (by default) folds
     them into the running stats in place; eval mode uses the running stats.
+    Returns (y, cache): the cache feeds `batchnorm_backward` in train mode
+    and is None in eval mode.
     """
-    y, _ = _batchnorm_cached(
-        np.asarray(x, dtype=np.float64), gamma, beta, running_mean, running_var,
-        train_mode, momentum, eps, update_running,
-    )
-    return y
-
-
-def _batchnorm_cached(
-    x, gamma, beta, running_mean, running_var, train_mode,
-    momentum=0.99, eps=1e-5, update_running=True,
-):
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"batchnorm expects a (batch, features) array, got {x.shape}")
     if train_mode:
@@ -368,7 +358,7 @@ class QNetwork(_Network):
         else:
             c1 = c2 = None
             h_last = np.zeros((B, self.hidden_dim), dtype=np.float64)
-        h_drop, drop_mask = _dropout_cached(h_last, self.dropout_rate, train_mode, rng)
+        h_drop, drop_mask = dropout(h_last, self.dropout_rate, train_mode, rng)
         Q = h_drop @ self.head["W"].T + self.head["b"]
         if not np.all(np.isfinite(Q)):
             raise FloatingPointError("non-finite Q-values")
@@ -467,12 +457,6 @@ class RewardRegressor(_Network):
         out.update(_flat("head", self.head))
         return out
 
-    def buffers(self) -> dict:
-        return {
-            "bn1_mean": self.bn1_mean, "bn1_var": self.bn1_var,
-            "bn2_mean": self.bn2_mean, "bn2_var": self.bn2_var,
-        }
-
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False,
                        update_running: bool = True):
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -483,7 +467,7 @@ class RewardRegressor(_Network):
             H1, c1 = gru_forward(self.gru1, Xt, lengths)
             valid = np.arange(t_eff)[None, :] < lengths[:, None]  # (B, t_eff)
             xs = H1[valid]
-            ys, bn1_cache = _batchnorm_cached(
+            ys, bn1_cache = batchnorm_forward(
                 xs, self.bn1["gamma"], self.bn1["beta"], self.bn1_mean, self.bn1_var,
                 train_mode, update_running=update_running,
             )
@@ -495,7 +479,7 @@ class RewardRegressor(_Network):
             c1 = c2 = bn1_cache = None
             valid = None
             h_last = np.zeros((B, self.hidden_dim), dtype=np.float64)
-        h_norm, bn2_cache = _batchnorm_cached(
+        h_norm, bn2_cache = batchnorm_forward(
             h_last, self.bn2["gamma"], self.bn2["beta"], self.bn2_mean, self.bn2_var,
             train_mode, update_running=update_running,
         )

@@ -11,12 +11,9 @@ instead of depending on a k-means fit.
 import numpy as np
 import pytest
 
-from chatdqn import (
-    ClusterModel,
-    WordEmbeddingTable,
-    make_toy_corpus,
-    make_toy_embeddings,
-)
+from chatdqn import make_toy_corpus, make_toy_embeddings
+from chatdqn.clustering import ClusterModel
+from chatdqn.embeddings import WordEmbeddingTable
 
 
 def topic_centers(table: WordEmbeddingTable, n_topics: int, words_per_topic: int = 20):

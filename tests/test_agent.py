@@ -3,24 +3,21 @@
 import numpy as np
 import pytest
 
-from chatdqn import (
-    AgentConfig,
+from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings
+from chatdqn.agent import (
     ChatDQNAgent,
-    DialogueEnv,
-    QNetwork,
     ReplayMemory,
     Transition,
-    baseline_bounds,
     compute_targets,
-    embed_corpus,
     epsilon_at,
     evaluate,
-    make_toy_corpus,
-    make_toy_embeddings,
     moving_average,
     select_action,
     train,
 )
+from chatdqn.embeddings import embed_corpus
+from chatdqn.environment import DialogueEnv, baseline_bounds
+from chatdqn.neuralnet import QNetwork
 
 from conftest import topic_cluster_model
 
@@ -213,7 +210,7 @@ def test_replay_keeps_most_recent_capacity_items():
     for i in range(9):
         mem.append(_tr(i))
     assert len(mem) == 5
-    kept = {t.s[0] for t in mem.items}
+    kept = {mem[i].s[0] for i in range(len(mem))}
     assert kept == {4, 5, 6, 7, 8}  # oldest four gone
 
 
@@ -222,7 +219,7 @@ def test_replay_below_capacity():
     for i in range(3):
         mem.append(_tr(i))
     assert len(mem) == 3
-    assert {t.s[0] for t in mem.items} == {0, 1, 2}
+    assert {mem[i].s[0] for i in range(len(mem))} == {0, 1, 2}
 
 
 def test_replay_sample_without_replacement():

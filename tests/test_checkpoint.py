@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from chatdqn import AgentConfig, ChatDQNAgent
+from chatdqn import AgentConfig
+from chatdqn.agent import ChatDQNAgent
 from chatdqn.checkpoint import (
     architecture_of,
     load_checkpoint,

@@ -292,6 +292,23 @@ def test_missing_config_is_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key, value", [("seed", "5"), ("seed", True), ("k_splits", "3")])
+def test_non_integer_seed_or_k_splits_is_error(cli_world, tmp_path, capsys, key, value):
+    # a str seed used to run, coerced by the cluster rngs but hashed as
+    # UTF-8 bytes by stable_seed; a str k_splits died with a TypeError
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d[key] = value
+    d["out_dir"] = str(tmp_path / "out")
+    bad = root / f"bad_{key}_{type(value).__name__}.json"
+    bad.write_text(json.dumps(d))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be an integer" in err
+    assert not os.path.exists(d["out_dir"])
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

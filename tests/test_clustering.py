@@ -9,14 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from chatdqn import (
+from chatdqn import clustering
+from chatdqn.clustering import (
     ClusterModel,
-    assign,
+    InertiaIncreaseError,
     assign_many,
-    clustering,
     dialogue_vectors,
-    embed_corpus,
-    embed_texts,
     euclidean,
     fit,
     kmeanspp_seed,
@@ -24,8 +22,8 @@ from chatdqn import (
     pca_project,
     save_cluster_model,
 )
-from chatdqn.clustering import InertiaIncreaseError
 from chatdqn.corpus import Dialogue, Turn
+from chatdqn.embeddings import embed_corpus, embed_texts
 
 from conftest import make_table
 
@@ -289,6 +287,20 @@ def test_assign_many_matches_reference_argmin():
         assert np.array_equal(assign_many(model, pts), ref)
 
 
+def test_assign_nearest_and_tie():
+    model = ClusterModel(
+        k=2, dim=1, centroids=np.array([[0.0], [10.0]]), inertia=0.0
+    )
+    # equidistant 5.0: lowest index
+    assert assign_many(model, [[1.0], [9.0], [5.0]]).tolist() == [0, 1, 0]
+
+
+def test_assign_dim_mismatch():
+    model = ClusterModel(k=1, dim=2, centroids=np.zeros((1, 2)), inertia=0.0)
+    with pytest.raises(ValueError):
+        assign_many(model, [[1.0, 2.0, 3.0]])
+
+
 def test_repair_never_empties_a_cluster():
     # the first repair used to move the same lone point twice, emptying the
     # cluster it had just filled (NaN centroid, "non-finite centroid")
@@ -339,35 +351,6 @@ def test_fit_seeded_reproducibility():
     m2 = fit(pts, 3, np.random.default_rng(42))
     assert np.array_equal(m1.centroids, m2.centroids)
     assert m1.inertia == m2.inertia
-
-
-# ---------------------------------------------------------------------------
-# assign
-
-
-def test_assign_nearest_and_tie():
-    model = ClusterModel(
-        k=2, dim=1, centroids=np.array([[0.0], [10.0]]), inertia=0.0
-    )
-    assert assign(model, [1.0]) == 0
-    assert assign(model, [9.0]) == 1
-    assert assign(model, [5.0]) == 0  # equidistant: lowest index
-
-
-def test_assign_matches_linear_scan():
-    rng = np.random.default_rng(13)
-    cents = rng.normal(size=(6, 3))
-    model = ClusterModel(k=6, dim=3, centroids=cents, inertia=0.0)
-    for _ in range(50):
-        x = rng.normal(size=3)
-        ref = int(np.argmin([euclidean(x, c) for c in cents]))
-        assert assign(model, x) == ref
-
-
-def test_assign_dim_mismatch():
-    model = ClusterModel(k=1, dim=2, centroids=np.zeros((1, 2)), inertia=0.0)
-    with pytest.raises(ValueError):
-        assign(model, [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,25 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from chatdqn import (
+from chatdqn import clustering, make_toy_corpus, make_toy_embeddings
+from chatdqn.clustering import assign_many, dialogue_vectors, fit
+from chatdqn.corpus import (
     Corpus,
     Dialogue,
     Turn,
     corpus_stats,
-    dialogue_vectors,
     distort_dialogue,
-    embed_corpus,
     ingest_personachat,
     load_corpus,
     load_splits,
-    make_toy_corpus,
-    make_toy_embeddings,
     sample_distractors,
     save_corpus,
     save_splits,
     split_corpus,
     validate_dialogue,
 )
+from chatdqn.embeddings import embed_corpus
 
 from conftest import topic_cluster_model
 
@@ -167,6 +166,33 @@ def test_split_corpus_groups_by_topic():
     for d in corpus.dialogues:
         homes = [sid for sid, ids in by_id.items() if d.id in ids]
         assert len(homes) == 1
+
+
+def test_split_labels_are_assign_many_and_fit_final_pass_labels(monkeypatch):
+    # splits use the nearest-centroid rule of fit's assignment passes, so on
+    # a fitted dialogue model they equal the labels of fit's final pass
+    passes = []
+    assign_and_repair = clustering._assign_and_repair
+
+    def recorded(points, centroids, pn):
+        out = assign_and_repair(points, centroids, pn)
+        passes.append(out)
+        return out
+
+    monkeypatch.setattr(clustering, "_assign_and_repair", recorded)
+    for seed, (dim, k) in enumerate([(6, 3), (20, 6), (100, 12)]):
+        table = make_toy_embeddings(8, dim=dim, seed=seed, spread=0.5)
+        corpus = make_toy_corpus(48, topics=range(8), seed=seed)
+        points = _points(corpus, table)
+        passes.clear()
+        model = fit(points, k, np.random.default_rng(seed))
+        final = [labels for labels, cents, _, inertia in passes
+                 if np.array_equal(cents, model.centroids) and inertia == model.inertia]
+        split_of = {i: s.split_id for s in split_corpus(corpus, model, points)
+                    for i in s.dialogue_ids}
+        labels = [split_of[d.id] for d in corpus]
+        assert labels == assign_many(model, points).tolist()
+        assert final and labels == final[-1].tolist()
 
 
 def test_splits_roundtrip(tmp_path):

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from chatdqn import (
-    ClusterModel,
-    Corpus,
-    Dialogue,
-    DialogueEnv,
-    Turn,
-    embed_corpus,
-    embed_texts,
-    load_embeddings,
-    tokenize,
-)
+from chatdqn.clustering import ClusterModel
+from chatdqn.corpus import Corpus, Dialogue, Turn
+from chatdqn.embeddings import embed_corpus, embed_texts, load_embeddings, tokenize
+from chatdqn.environment import DialogueEnv
 
 from conftest import make_table
 

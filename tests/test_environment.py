@@ -3,19 +3,10 @@
 import numpy as np
 import pytest
 
-from chatdqn import (
-    Corpus,
-    Dialogue,
-    DialogueEnv,
-    Turn,
-    baseline_bounds,
-    embed_corpus,
-    embed_texts,
-    episode_reward,
-    make_toy_corpus,
-    make_toy_embeddings,
-    sample_distractors,
-)
+from chatdqn import make_toy_corpus, make_toy_embeddings
+from chatdqn.corpus import Corpus, Dialogue, Turn, sample_distractors
+from chatdqn.embeddings import embed_corpus, embed_texts
+from chatdqn.environment import DialogueEnv, baseline_bounds, episode_reward
 
 from conftest import topic_cluster_model
 
@@ -136,7 +127,7 @@ def test_candidates_truth_position_varies(world):
 
 def test_candidates_single_candidate_config(world):
     table, corpus, model, env = world
-    env1 = DialogueEnv(corpus, model, env.vectors, candidates=1,
+    env1 = DialogueEnv(corpus, model, embed_corpus(corpus, table)[0], candidates=1,
                        rng=np.random.default_rng(4))
     state = env1.reset(corpus.dialogues[0])
     cands = env1.make_candidates(state, np.random.default_rng(5))
@@ -198,7 +189,7 @@ def test_step_collision_rule_rewards_truth_cluster(world):
     # that cluster is a +1 because the reward keys on the truth's cluster id
     table, corpus, _, env = world
     degenerate = topic_cluster_model(table, 1)
-    env1 = DialogueEnv(corpus, degenerate, env.vectors, candidates=3,
+    env1 = DialogueEnv(corpus, degenerate, embed_corpus(corpus, table)[0], candidates=3,
                        rng=np.random.default_rng(8))
     state = env1.reset(corpus.dialogues[0])
     cands = env1.make_candidates(state, np.random.default_rng(9))
@@ -259,7 +250,7 @@ def test_batch_states_pads_with_zero_rows(world):
     X, lengths = env.batch_states([ids, ids[:1], ()])
     assert X.shape == (3, 3, table.dim)
     assert list(lengths) == [3, 1, 0]
-    np.testing.assert_array_equal(X[0], env.vectors[list(ids)])
+    np.testing.assert_array_equal(X[0], embed_corpus(corpus, table)[0][list(ids)])
     np.testing.assert_array_equal(X[1, 0], X[0, 0])
     assert np.all(X[1, 1:] == 0.0)
     assert np.all(X[2] == 0.0)
@@ -270,9 +261,9 @@ def test_batch_states_pads_with_zero_rows(world):
 
 
 def test_env_rejects_vectors_of_another_corpus(world):
-    _, corpus, model, env = world
+    table, corpus, model, _ = world
     with pytest.raises(ValueError, match="sentence vectors"):
-        DialogueEnv(corpus, model, env.vectors[:-1])
+        DialogueEnv(corpus, model, embed_corpus(corpus, table)[0][:-1])
 
 
 # ---------------------------------------------------------------------------

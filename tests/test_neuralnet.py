@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from chatdqn import (
+from chatdqn.neuralnet import (
     Adam,
     QNetwork,
     RewardRegressor,
@@ -423,11 +423,10 @@ def test_regressor_eval_forward_matches_scalar_reference():
     X, lengths = tiny_batch(rng, B=3, L=4, m=2, lengths=[2, 4, 1])
     preds = model.forward(X, lengths, train_mode=False)
 
-    bufs = model.buffers()
     eps = 1e-5
 
     def bn_eval(v, which):
-        rm, rv = bufs[f"{which}_mean"], bufs[f"{which}_var"]
+        rm, rv = getattr(model, f"{which}_mean"), getattr(model, f"{which}_var")
         g, b = model.params()[f"{which}.gamma"], model.params()[f"{which}.beta"]
         return np.array([
             (v[j] - rm[j]) / math.sqrt(rv[j] + eps) * g[j] + b[j]
@@ -474,7 +473,7 @@ def test_batchnorm_constant_batch_outputs_beta():
     x = np.full((4, 3), 7.0)
     gamma, beta = np.ones(3), np.array([1.0, -2.0, 0.5])
     rm, rv = np.zeros(3), np.ones(3)
-    y = batchnorm_forward(x, gamma, beta, rm, rv, train_mode=True)
+    y, _ = batchnorm_forward(x, gamma, beta, rm, rv, train_mode=True)
     assert np.allclose(y, beta, atol=1e-6)
 
 
@@ -482,7 +481,7 @@ def test_batchnorm_unit_variance_pair():
     x = np.array([[-1.0], [1.0]])
     gamma, beta = np.ones(1), np.zeros(1)
     rm, rv = np.zeros(1), np.ones(1)
-    y = batchnorm_forward(x, gamma, beta, rm, rv, train_mode=True)
+    y, _ = batchnorm_forward(x, gamma, beta, rm, rv, train_mode=True)
     assert y[0, 0] == pytest.approx(-1.0, abs=1e-4)
     assert y[1, 0] == pytest.approx(1.0, abs=1e-4)
 
@@ -493,7 +492,7 @@ def test_batchnorm_train_stats_and_running_update():
     gamma = np.array([2.0, 0.5])
     beta = np.array([1.0, -1.0])
     rm, rv = np.zeros(2), np.ones(2)
-    y = batchnorm_forward(x, gamma, beta, rm, rv, train_mode=True)
+    y, _ = batchnorm_forward(x, gamma, beta, rm, rv, train_mode=True)
     mu = x.mean(axis=0)
     var = ((x - mu) ** 2).mean(axis=0)  # biased
     ref = (x - mu) / np.sqrt(var + 1e-5) * gamma + beta
@@ -507,8 +506,8 @@ def test_batchnorm_eval_ignores_batch():
     gamma, beta = np.ones(2), np.zeros(2)
     rm = np.array([1.0, -1.0])
     rv = np.array([4.0, 0.25])
-    a = batchnorm_forward(np.zeros((3, 2)), gamma, beta, rm, rv, False)
-    b = batchnorm_forward(np.ones((5, 2)) * 9, gamma, beta, rm, rv, False)
+    a, _ = batchnorm_forward(np.zeros((3, 2)), gamma, beta, rm, rv, False)
+    b, _ = batchnorm_forward(np.ones((5, 2)) * 9, gamma, beta, rm, rv, False)
     ref0 = (0.0 - rm) / np.sqrt(rv + 1e-5)
     assert np.allclose(a[0], ref0, atol=1e-12)
     assert np.allclose(a[0], a[-1])
@@ -529,19 +528,19 @@ def test_batchnorm_train_batch_of_one_errors():
 def test_dropout_rate_zero_identity():
     x = np.arange(12.0).reshape(3, 4)
     rng = np.random.default_rng(31)
-    assert np.array_equal(dropout(x, 0.0, True, rng), x)
-    assert np.array_equal(dropout(x, 0.0, False, rng), x)
+    assert np.array_equal(dropout(x, 0.0, True, rng)[0], x)
+    assert np.array_equal(dropout(x, 0.0, False, rng)[0], x)
 
 
 def test_dropout_eval_identity():
     x = np.arange(6.0)
-    assert np.array_equal(dropout(x, 0.2, False), x)
+    assert np.array_equal(dropout(x, 0.2, False)[0], x)
 
 
 def test_dropout_law_of_large_numbers():
     rng = np.random.default_rng(32)
     x = np.ones(1_000_000)
-    y = dropout(x, 0.2, True, rng)
+    y, _ = dropout(x, 0.2, True, rng)
     zero_frac = float((y == 0.0).mean())
     assert abs(zero_frac - 0.2) < 0.002
     assert abs(y.mean() - 1.0) < 0.01  # survivor scaling preserves the mean
