@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "ClusterModel",
     "InertiaIncreaseError",
-    "euclidean",
     "kmeanspp_seed",
     "fit",
     "assign_many",
@@ -57,14 +56,6 @@ class ClusterModel:
 
 class InertiaIncreaseError(ArithmeticError):
     """A Lloyd pass raised the inertia, which exact arithmetic never does."""
-
-
-def euclidean(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray, pn: np.ndarray) -> np.ndarray:

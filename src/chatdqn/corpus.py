@@ -142,7 +142,6 @@ class DistortedDialogue:
     """
 
     turns: tuple[Turn, ...]
-    replaced_mask: tuple[bool, ...]  # one flag per agent turn
     label: int
 
 
@@ -341,28 +340,17 @@ def distort_dialogue(
     agent_idx = d.agent_turn_indices
     n_agent = len(agent_idx)
     n_replace = math.ceil(replace_fraction * n_agent)
-    chosen = set()
+    turns = list(d.turns)
     if n_replace:
         chosen = set(
             int(c) for c in rng.choice(n_agent, size=n_replace, replace=False)
         )
         texts = corpus._turns[1]
         distractors = [texts[p] for p in sample_distractors(corpus, d.id, n_replace, rng)]
-    turns = list(d.turns)
-    mask = []
-    it = 0
-    for pos, turn_i in enumerate(agent_idx):
-        if pos in chosen:
-            turns[turn_i] = Turn(speaker=AGENT, text=distractors[it])
-            it += 1
-            mask.append(True)
-        else:
-            mask.append(False)
-    return DistortedDialogue(
-        turns=tuple(turns),
-        replaced_mask=tuple(mask),
-        label=n_agent - 2 * n_replace,
-    )
+        replaced = [turn_i for pos, turn_i in enumerate(agent_idx) if pos in chosen]
+        for turn_i, text in zip(replaced, distractors):
+            turns[turn_i] = Turn(speaker=AGENT, text=text)
+    return DistortedDialogue(turns=tuple(turns), label=n_agent - 2 * n_replace)
 
 
 def stable_seed(*parts: int | str) -> int:
@@ -371,3 +359,12 @@ def stable_seed(*parts: int | str) -> int:
     ints = [int.from_bytes(p.encode("utf-8"), "big") if isinstance(p, str) else int(p)
             for p in parts]
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
+
+
+def require_ints(obj, *names: str) -> None:
+    """Raise ValueError unless each named attribute of `obj` is an int; a
+    bool or a float (such as a config file's `true` or `8.0`) is refused."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -5,10 +5,10 @@ earning +1 when it picks the cluster of the true human reply, -1 otherwise.
 A sentence id is a position in the corpus's turn index (`Corpus._turns`):
 turn j of dialogue i is sentence offsets[i] + j. The environment takes the
 corpus's sentence vectors in that order (see `embeddings.embed_corpus`) and
-cluster-assigns them once at construction; states carry sentence ids so
-batches of training states can be materialized with a single gather from
-that vector matrix. Distractors come from `corpus.sample_distractors`, the
-same draw that distorts dialogues for the reward-regression study.
+cluster-assigns them once at construction; states carry sentence ids, and
+`neuralnet.pad_batch` gathers batches of them from that vector matrix.
+Distractors come from `corpus.sample_distractors`, the same draw that
+distorts dialogues for the reward-regression study.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .clustering import ClusterModel, assign_many
 from .corpus import Corpus, Dialogue, sample_distractors
+from .neuralnet import pad_batch
 
 __all__ = [
     "EnvState",
@@ -45,7 +46,6 @@ class EnvState:
 class CandidateSet:
     """c candidate responses, exactly one of them the scripted human reply."""
 
-    sentences: tuple[str, ...]
     truth_index: int
     action_ids: tuple[int, ...]
     sentence_ids: tuple[int, ...]
@@ -82,8 +82,7 @@ class DialogueEnv:
                 f"sentence vectors of shape {vectors.shape} for {len(self._texts)} "
                 f"sentences and cluster model dim {sentence_model.dim}"
             )
-        # One extra zero row so padded id matrices can gather in one shot.
-        self._vectors_ext = np.vstack([vectors, np.zeros((1, sentence_model.dim))])
+        self._vectors = vectors
         self.sent_action = assign_many(sentence_model, vectors)
 
     def reset(self, dialogue: Dialogue) -> EnvState:
@@ -112,7 +111,6 @@ class DialogueEnv:
         ids = [truth] + picked
         ids = [ids[i] for i in rng.permutation(self.candidates).tolist()]
         return CandidateSet(
-            sentences=tuple(self._texts[i] for i in ids),
             truth_index=ids.index(truth),
             action_ids=tuple(int(self.sent_action[i]) for i in ids),
             sentence_ids=tuple(ids),
@@ -163,15 +161,8 @@ class DialogueEnv:
 
     def batch_states(self, id_tuples: Sequence[tuple[int, ...]]):
         """Materialize histories (as sentence-id tuples) into a padded
-        (B, T, m) batch plus its lengths vector. T = longest history (>= 1)."""
-        lengths = np.array([len(t) for t in id_tuples], dtype=np.int64)
-        t_max = max(1, int(lengths.max()) if len(lengths) else 1)
-        pad = len(self._texts)  # index of the all-zeros row
-        idx = np.full((len(id_tuples), t_max), pad, dtype=np.int64)
-        for i, ids in enumerate(id_tuples):
-            if ids:
-                idx[i, : len(ids)] = ids
-        return self._vectors_ext[idx], lengths
+        (B, T, m) batch plus its lengths vector (`neuralnet.pad_batch`)."""
+        return pad_batch(self._vectors, id_tuples)
 
 
 def episode_reward(rewards: Iterable[int]) -> int:

@@ -35,6 +35,7 @@ from .corpus import (
     ingest_personachat,
     load_corpus,
     load_splits,
+    require_ints,
     save_corpus,
     save_splits,
     split_corpus,
@@ -102,10 +103,7 @@ class ExperimentConfig:
             raise ValueError("set exactly one of corpus / ingest_from")
         if not self.embeddings:
             raise ValueError("at least one embedding table is required")
-        for name in ("seed", "k_splits"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_ints(self, "seed", "k_splits")
         if self.k_splits < 1:
             raise ValueError("k_splits must be >= 1")
 

@@ -10,7 +10,11 @@ Sequence batches are (B, T, D) with a per-row `lengths` vector; steps at or
 past a row's length are frozen (the hidden state is carried through
 unchanged), so padding can never influence outputs or gradients, and the
 hidden state at the last time index always equals each row's final hidden
-state.
+state. `pad_batch` is the one builder of such batches, for the Q-network's
+dialogue-history states and the reward study's history prefixes alike; its
+T is max(1, longest row), and both networks run to max(1, longest) steps,
+so a row of length 0 (or a batch of them) goes through the same frozen-row
+path and leaves the zero initial state.
 
 GRU update, per step (sigma = logistic):
 
@@ -34,11 +38,13 @@ since a frozen step carries it.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import itertools
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "pad_batch",
     "sigmoid",
     "glorot_uniform",
     "init_gru_params",
@@ -53,6 +59,28 @@ __all__ = [
     "RewardRegressor",
     "regressor_loss_and_grads",
 ]
+
+
+def _width(lengths: np.ndarray) -> int:
+    """Time steps of a padded batch: max(1, longest row)."""
+    return max(1, int(lengths.max(initial=0)))
+
+
+def pad_batch(vectors: np.ndarray, rows: Sequence[Sequence[int]]):
+    """(X, lengths): row i of the (B, T, D) batch X holds vectors[rows[i]]
+    (row indices into `vectors`), then zeros; T = max(1, longest row)."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    T = _width(lengths)
+    valid = np.arange(T) < lengths[:, None]
+    idx = np.zeros((len(rows), T), dtype=np.int64)
+    idx[valid] = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                             count=int(lengths.sum()))
+    # one gather straight into the batch (no temporary of the valid rows);
+    # padded cells gathered row 0 and are zeroed
+    X = np.asarray(vectors, dtype=np.float64)[idx]
+    X[~valid] = 0.0
+    return X, lengths
+
 
 def sigmoid(x):
     """Logistic function as 0.5 * (1 + tanh(x / 2)): no exp, so saturated
@@ -209,12 +237,12 @@ def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = 
 
 def batchnorm_forward(
     x, gamma, beta, running_mean, running_var, train_mode: bool,
-    momentum: float = 0.99, eps: float = 1e-5, update_running: bool = True,
+    momentum: float = 0.99, eps: float = 1e-5,
 ):
     """Feature-wise batch normalization on a (B, F) batch.
 
-    Train mode normalizes by biased batch statistics and (by default) folds
-    them into the running stats in place; eval mode uses the running stats.
+    Train mode normalizes by biased batch statistics and folds them into the
+    running stats in place; eval mode uses the running stats.
     Returns (y, cache): the cache feeds `batchnorm_backward` in train mode
     and is None in eval mode.
     """
@@ -229,11 +257,10 @@ def batchnorm_forward(
         var = x.var(axis=0)  # biased
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x - mu) * inv_std
-        if update_running:
-            running_mean *= momentum
-            running_mean += (1.0 - momentum) * mu
-            running_var *= momentum
-            running_var += (1.0 - momentum) * var
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mu
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
         cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "n": n}
     else:
         xhat = (x - running_mean) / np.sqrt(running_var + eps)
@@ -345,27 +372,16 @@ class QNetwork(_Network):
 
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False,
                        rng: np.random.Generator | None = None):
-        """(Q, cache) on a (B, T, m) batch. Steps past max(lengths) are
-        skipped entirely; rows with length 0 see only the head bias."""
+        """(Q, cache) on a (B, T, m) batch, run to max(1, longest) steps;
+        rows of length 0 keep the zero state and see only the head bias."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        B = X.shape[0]
-        t_eff = int(lengths.max()) if B else 0
-        if t_eff > 0:
-            Xt = X[:, :t_eff]
-            H1, c1 = gru_forward(self.gru1, Xt, lengths)
-            H2, c2 = gru_forward(self.gru2, H1, lengths)
-            h_last = H2[:, -1]
-        else:
-            c1 = c2 = None
-            h_last = np.zeros((B, self.hidden_dim), dtype=np.float64)
-        h_drop, drop_mask = dropout(h_last, self.dropout_rate, train_mode, rng)
+        H1, c1 = gru_forward(self.gru1, X[:, : _width(lengths)], lengths)
+        H2, c2 = gru_forward(self.gru2, H1, lengths)
+        h_drop, drop_mask = dropout(H2[:, -1], self.dropout_rate, train_mode, rng)
         Q = h_drop @ self.head["W"].T + self.head["b"]
         if not np.all(np.isfinite(Q)):
             raise FloatingPointError("non-finite Q-values")
-        cache = {
-            "c1": c1, "c2": c2, "h_drop": h_drop, "drop_mask": drop_mask,
-            "t_eff": t_eff, "B": B, "X_shape": X.shape,
-        }
+        cache = {"c1": c1, "c2": c2, "h_drop": h_drop, "drop_mask": drop_mask}
         return Q, cache
 
     def forward(self, X, lengths, train_mode: bool = False,
@@ -383,16 +399,12 @@ class QNetwork(_Network):
             dh_last = dh_drop * cache["drop_mask"]
         else:
             dh_last = dh_drop
-        if cache["t_eff"] > 0:
-            dH2 = np.zeros((cache["B"], cache["t_eff"], self.hidden_dim))
-            dH2[:, -1] = dh_last
-            g2, dH1 = gru_backward(cache["c2"], dH2)
-            g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
-            grads.update(_flat("gru1", g1))
-            grads.update(_flat("gru2", g2))
-        else:
-            grads.update(_flat("gru1", {k: np.zeros_like(v) for k, v in self.gru1.items()}))
-            grads.update(_flat("gru2", {k: np.zeros_like(v) for k, v in self.gru2.items()}))
+        dH2 = np.zeros_like(cache["c2"]["H"])
+        dH2[:, -1] = dh_last
+        g2, dH1 = gru_backward(cache["c2"], dH2)
+        g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
+        grads.update(_flat("gru1", g1))
+        grads.update(_flat("gru2", g2))
         _raise_on_bad_grads(grads)
         return grads
 
@@ -457,44 +469,33 @@ class RewardRegressor(_Network):
         out.update(_flat("head", self.head))
         return out
 
-    def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False,
-                       update_running: bool = True):
+    def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False):
+        """(preds, cache) on a (B, T, m) batch, run to max(1, longest) steps."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        B = X.shape[0]
-        t_eff = int(lengths.max()) if B else 0
-        if t_eff > 0:
-            Xt = X[:, :t_eff]
-            H1, c1 = gru_forward(self.gru1, Xt, lengths)
-            valid = np.arange(t_eff)[None, :] < lengths[:, None]  # (B, t_eff)
-            xs = H1[valid]
-            ys, bn1_cache = batchnorm_forward(
-                xs, self.bn1["gamma"], self.bn1["beta"], self.bn1_mean, self.bn1_var,
-                train_mode, update_running=update_running,
-            )
-            H1n = np.zeros_like(H1)
-            H1n[valid] = ys
-            H2, c2 = gru_forward(self.gru2, H1n, lengths)
-            h_last = H2[:, -1]
-        else:
-            c1 = c2 = bn1_cache = None
-            valid = None
-            h_last = np.zeros((B, self.hidden_dim), dtype=np.float64)
+        H1, c1 = gru_forward(self.gru1, X[:, : _width(lengths)], lengths)
+        valid = np.arange(H1.shape[1])[None, :] < lengths[:, None]  # (B, T)
+        ys, bn1_cache = batchnorm_forward(
+            H1[valid], self.bn1["gamma"], self.bn1["beta"], self.bn1_mean, self.bn1_var,
+            train_mode,
+        )
+        H1n = np.zeros_like(H1)
+        H1n[valid] = ys
+        H2, c2 = gru_forward(self.gru2, H1n, lengths)
         h_norm, bn2_cache = batchnorm_forward(
-            h_last, self.bn2["gamma"], self.bn2["beta"], self.bn2_mean, self.bn2_var,
-            train_mode, update_running=update_running,
+            H2[:, -1], self.bn2["gamma"], self.bn2["beta"], self.bn2_mean, self.bn2_var,
+            train_mode,
         )
         preds = h_norm @ self.head["W"][0] + self.head["b"][0]
         if not np.all(np.isfinite(preds)):
             raise FloatingPointError("non-finite regressor output")
         cache = {
             "c1": c1, "c2": c2, "bn1": bn1_cache, "bn2": bn2_cache,
-            "valid": valid, "h_norm": h_norm, "t_eff": t_eff, "B": B,
+            "valid": valid, "h_norm": h_norm,
         }
         return preds, cache
 
-    def forward(self, X, lengths, train_mode: bool = False,
-                update_running: bool = True) -> np.ndarray:
-        preds, _ = self.forward_cached(X, lengths, train_mode, update_running)
+    def forward(self, X, lengths, train_mode: bool = False) -> np.ndarray:
+        preds, _ = self.forward_cached(X, lengths, train_mode)
         return preds
 
     def backward(self, cache: dict, dpreds: np.ndarray) -> dict:
@@ -505,33 +506,26 @@ class RewardRegressor(_Network):
         dh_last, dg2, db2 = batchnorm_backward(cache["bn2"], dh_norm)
         grads["bn2.gamma"] = dg2
         grads["bn2.beta"] = db2
-        if cache["t_eff"] > 0:
-            dH2 = np.zeros((cache["B"], cache["t_eff"], self.hidden_dim))
-            dH2[:, -1] = dh_last
-            g2, dH1n = gru_backward(cache["c2"], dH2)
-            dys = dH1n[cache["valid"]]
-            dxs, dg1, db1 = batchnorm_backward(cache["bn1"], dys)
-            grads["bn1.gamma"] = dg1
-            grads["bn1.beta"] = db1
-            dH1 = np.zeros_like(dH1n)
-            dH1[cache["valid"]] = dxs
-            g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
-            grads.update(_flat("gru1", g1))
-            grads.update(_flat("gru2", g2))
-        else:
-            grads["bn1.gamma"] = np.zeros(self.hidden_dim)
-            grads["bn1.beta"] = np.zeros(self.hidden_dim)
-            grads.update(_flat("gru1", {k: np.zeros_like(v) for k, v in self.gru1.items()}))
-            grads.update(_flat("gru2", {k: np.zeros_like(v) for k, v in self.gru2.items()}))
+        dH2 = np.zeros_like(cache["c2"]["H"])
+        dH2[:, -1] = dh_last
+        g2, dH1n = gru_backward(cache["c2"], dH2)
+        dxs, dg1, db1 = batchnorm_backward(cache["bn1"], dH1n[cache["valid"]])
+        grads["bn1.gamma"] = dg1
+        grads["bn1.beta"] = db1
+        dH1 = np.zeros_like(dH1n)
+        dH1[cache["valid"]] = dxs
+        g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
+        grads.update(_flat("gru1", g1))
+        grads.update(_flat("gru2", g2))
         _raise_on_bad_grads(grads)
         return grads
 
 
 def regressor_loss_and_grads(model: RewardRegressor, X, lengths, targets,
-                             train_mode: bool = True, update_running: bool = True):
+                             train_mode: bool = True):
     """Mean squared error of the scalar predictions against raw targets."""
     targets = np.asarray(targets, dtype=np.float64)
-    preds, cache = model.forward_cached(X, lengths, train_mode, update_running)
+    preds, cache = model.forward_cached(X, lengths, train_mode)
     diff = preds - targets
     loss = float(np.mean(diff**2))
     dpreds = 2.0 * diff / diff.shape[0]

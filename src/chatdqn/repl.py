@@ -1,9 +1,9 @@
 """Interactive inspection of a trained policy.
 
-The user plays the human side; each turn the tool draws a candidate set
-from the corpus (one scripted sentence plus distractors), prints every
-cluster's Q-value with the candidate clusters highlighted, announces the
-greedy choice, and utters a candidate from the chosen cluster. There is no
+The user plays the human side; each turn the tool draws a candidate set of
+corpus sentences (uniformly, from every dialogue), prints every cluster's
+Q-value with the candidate clusters highlighted, announces the greedy
+choice, and utters a candidate from the chosen cluster. There is no
 ground truth for live input, so no reward is scored. The transcript is
 JSONL, one object per turn.
 """
@@ -98,14 +98,12 @@ def chat_repl(
             record("env", user)
 
             picks = sample_distractors(corpus, None, candidates, rng)
-            cand_sent = [sentences[i] for i in picks]
             cand_ids = [int(actions[i]) for i in picks]
             state = np.stack(history[-history_len:])[None]
             q = net.forward(state, [state.shape[1]], train_mode=False)[0]
             output_fn("q: " + _format_q_line(q, cand_ids))
-            for j, (s, a) in enumerate(zip(cand_sent, cand_ids)):
-                tag = "scripted" if j == 0 else "distractor"
-                output_fn(f"  [{a}] ({tag}) {s}")
+            for i, a in zip(picks, cand_ids):
+                output_fn(f"  [{a}] {sentences[i]}")
             choice = select_action(q, cand_ids, 0.0, rng)
             pool = [i for i, a in zip(picks, cand_ids) if a == choice]
             uttered = pool[0] if len(pool) == 1 else pool[int(rng.integers(len(pool)))]

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DistortedDialogue, distort_dialogue, stable_seed
+from .corpus import Corpus, DistortedDialogue, distort_dialogue, require_ints, stable_seed
 from .embeddings import WordEmbeddingTable, embed_corpus
-from .neuralnet import Adam, RewardRegressor, regressor_loss_and_grads
+from .neuralnet import Adam, RewardRegressor, pad_batch, regressor_loss_and_grads
 
 __all__ = [
     "DISTORTION_FRACTIONS",
@@ -52,6 +52,7 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "hidden_dim", "batch_size", "epochs", "runs", "seed")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.batch_size < 2:
@@ -84,16 +85,12 @@ def distort_corpus(
 def history_prefixes(vectors: np.ndarray, offsets, h: int):
     """(X, lengths): the first h sentence vectors of each dialogue of an
     `embed_corpus` result, as an (n, T, dim) batch zero-padded after each
-    dialogue's last sentence, T = min(h, longest dialogue)."""
+    dialogue's last sentence (`neuralnet.pad_batch`), T = min(h, longest
+    dialogue)."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    starts = np.asarray(offsets[:-1], dtype=np.int64)
-    lengths = np.minimum(np.diff(offsets), h).astype(np.int64)
-    width = int(lengths.max(initial=0))
-    X = np.zeros((len(starts), width, vectors.shape[1]), dtype=np.float64)
-    for i, (a, n) in enumerate(zip(starts, lengths)):
-        X[i, :n] = vectors[a : a + n]
-    return X, lengths
+    return pad_batch(vectors, [range(a, min(a + h, b))
+                               for a, b in zip(offsets[:-1], offsets[1:])])
 
 
 def _labels(distorted: Sequence[DistortedDialogue]) -> np.ndarray:

@@ -580,11 +580,11 @@ def test_evaluate_candidates_paired_across_policies(train_world):
     seen: dict[str, list] = {"a": [], "b": []}
 
     def spy_a(state, cands, env):
-        seen["a"].append(cands.sentences)
+        seen["a"].append([env.corpus._turns[1][i] for i in cands.sentence_ids])
         return cands.action_ids[cands.truth_index]
 
     def spy_b(state, cands, env):
-        seen["b"].append(cands.sentences)
+        seen["b"].append([env.corpus._turns[1][i] for i in cands.sentence_ids])
         return cands.action_ids[cands.truth_index]
 
     evaluate(net, corpus, cfg, model, vectors, seed=5, policy=spy_a)

@@ -309,6 +309,28 @@ def test_non_integer_seed_or_k_splits_is_error(cli_world, tmp_path, capsys, key,
     assert not os.path.exists(d["out_dir"])
 
 
+@pytest.mark.parametrize("part, key, value", [
+    ("agent", "hidden_dim", 8.0), ("agent", "batch_size", True),
+    ("agent", "epsilon_decay_steps", 10.0), ("predictor", "runs", 2.0),
+    ("predictor", "epochs", True),
+])
+def test_non_integer_agent_or_predictor_field_is_error(cli_world, tmp_path, capsys,
+                                                       part, key, value):
+    # such a config used to load and hash, and failed only in the train
+    # stage, after ingest, embedding and k-means had run
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d[part][key] = value
+    d["out_dir"] = str(tmp_path / "out")
+    bad = root / f"bad_{part}_{key}.json"
+    bad.write_text(json.dumps(d))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be an integer" in err
+    assert not os.path.exists(d["out_dir"])  # so no stage marker either
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -15,7 +15,6 @@ from chatdqn.clustering import (
     InertiaIncreaseError,
     assign_many,
     dialogue_vectors,
-    euclidean,
     fit,
     kmeanspp_seed,
     load_cluster_model,
@@ -43,32 +42,6 @@ def brute_force_two_cluster_inertia(xs):
         inertia = ((a - a.mean()) ** 2).sum() + ((b - b.mean()) ** 2).sum()
         best = min(best, inertia)
     return best
-
-
-# ---------------------------------------------------------------------------
-# euclidean
-
-
-def test_euclidean_identity():
-    assert euclidean([1, 2, 3], [1, 2, 3]) == 0.0
-
-
-def test_euclidean_3_4_5():
-    assert euclidean([0, 0], [3, 4]) == pytest.approx(5.0)
-
-
-def test_euclidean_symmetry_against_formula():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y = rng.normal(size=(2, 7))
-        ref = float(np.sqrt(((x - y) ** 2).sum()))
-        assert euclidean(x, y) == pytest.approx(ref, abs=1e-12)
-        assert euclidean(y, x) == pytest.approx(euclidean(x, y), abs=0)
-
-
-def test_euclidean_length_mismatch():
-    with pytest.raises(ValueError):
-        euclidean([1, 2], [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +298,7 @@ def test_fit_assigns_every_point_to_nearest_centroid():
     model = fit(pts, 5, np.random.default_rng(7))
     labels = assign_many(model, pts)
     for x, lab in zip(pts, labels):
-        dists = [euclidean(x, c) for c in model.centroids]
+        dists = np.linalg.norm(model.centroids - x, axis=1)
         assert dists[lab] == pytest.approx(min(dists), abs=1e-12)
 
 
@@ -419,8 +392,8 @@ def test_pca_preserves_pairwise_distances_in_full_dim():
     pts = rng.normal(size=(12, 2))
     proj = pca_project(pts, out_dim=2)
     for i, j in itertools.combinations(range(len(pts)), 2):
-        d0 = euclidean(pts[i], pts[j])
-        d1 = euclidean(proj[i], proj[j])
+        d0 = np.linalg.norm(pts[i] - pts[j])
+        d1 = np.linalg.norm(proj[i] - proj[j])
         assert d0 == pytest.approx(d1, abs=1e-9)
 
 

@@ -307,11 +307,16 @@ def distortion_corpus():
     return Corpus([_dialogue(f"d{i}", 8) for i in range(6)])
 
 
+def _replaced(d, out):
+    """One flag per agent turn of d: did the distortion change its text?"""
+    return [out.turns[i].text != d.turns[i].text for i in d.agent_turn_indices]
+
+
 def test_distort_zero_fraction(distortion_corpus):
     d = distortion_corpus.get("d0")
     out = distort_dialogue(d, 0.0, distortion_corpus, np.random.default_rng(0))
     assert out.label == 4  # +#agent turns
-    assert not any(out.replaced_mask)
+    assert not any(_replaced(d, out))
     assert out.turns == d.turns
 
 
@@ -319,14 +324,14 @@ def test_distort_full_fraction(distortion_corpus):
     d = distortion_corpus.get("d0")
     out = distort_dialogue(d, 1.0, distortion_corpus, np.random.default_rng(0))
     assert out.label == -4
-    assert len(out.replaced_mask) == 4  # one flag per agent turn
-    assert all(out.replaced_mask)
+    assert len(_replaced(d, out)) == 4  # one flag per agent turn
+    assert all(_replaced(d, out))
 
 
 def test_distort_half_fraction(distortion_corpus):
     d = distortion_corpus.get("d0")  # 4 agent turns
     out = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(1))
-    assert sum(out.replaced_mask) == 2
+    assert sum(_replaced(d, out)) == 2
     assert out.label == 0
 
 
@@ -334,7 +339,7 @@ def test_distort_ceil_rule(distortion_corpus):
     # 4 agent turns, fraction 0.3 -> ceil(1.2) = 2 replacements
     d = distortion_corpus.get("d0")
     out = distort_dialogue(d, 0.3, distortion_corpus, np.random.default_rng(2))
-    assert sum(out.replaced_mask) == math.ceil(0.3 * 4)
+    assert sum(_replaced(d, out)) == math.ceil(0.3 * 4)
     assert out.label == 4 - 2 * 2
 
 
@@ -347,10 +352,9 @@ def test_distort_never_touches_env_turns(distortion_corpus):
         assert len(out.turns) == len(d.turns)
         for i in range(0, len(d.turns), 2):
             assert out.turns[i] == d.turns[i]
-        # the mask flags exactly the agent turns whose text changed
-        for pos, turn_i in enumerate(agent_idx):
-            changed = out.turns[turn_i].text != d.turns[turn_i].text
-            assert changed == out.replaced_mask[pos]
+        # the label counts exactly the agent turns whose text changed
+        replaced = sum(out.turns[i].text != d.turns[i].text for i in agent_idx)
+        assert out.label == len(agent_idx) - 2 * replaced
 
 
 def test_distort_label_antisymmetry(distortion_corpus):
@@ -366,4 +370,4 @@ def test_distort_reproducible(distortion_corpus):
     d = distortion_corpus.get("d2")
     a = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(9))
     b = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(9))
-    assert a.turns == b.turns and a.replaced_mask == b.replaced_mask
+    assert a.turns == b.turns and a.label == b.label

@@ -29,6 +29,11 @@ def _texts(env, state):
     return [flat[i] for i in state.history_ids]
 
 
+def _sentences(env, cands):
+    """Candidate texts, read through the corpus's turn index."""
+    return [env.corpus._turns[1][i] for i in cands.sentence_ids]
+
+
 # ---------------------------------------------------------------------------
 # reset
 
@@ -77,9 +82,9 @@ def test_candidates_shape_and_truth_membership(world):
     for d in corpus.dialogues[:5]:
         state = env.reset(d)
         cands = env.make_candidates(state, rng)
-        assert len(cands.sentences) == 3
+        assert len(cands.sentence_ids) == 3
         assert 0 <= cands.truth_index < 3
-        truth = cands.sentences[cands.truth_index]
+        truth = _sentences(env, cands)[cands.truth_index]
         assert truth == d.turns[state.turn_index].text
         assert len(cands.action_ids) == 3
         assert all(0 <= a < model.k for a in cands.action_ids)
@@ -93,7 +98,7 @@ def test_candidates_distractors_never_from_active_dialogue(world):
     for _ in range(100):
         state = env.reset(d)
         cands = env.make_candidates(state, rng)
-        for i, s in enumerate(cands.sentences):
+        for i, s in enumerate(_sentences(env, cands)):
             if i != cands.truth_index:
                 assert s not in own
 
@@ -131,7 +136,7 @@ def test_candidates_single_candidate_config(world):
                        rng=np.random.default_rng(4))
     state = env1.reset(corpus.dialogues[0])
     cands = env1.make_candidates(state, np.random.default_rng(5))
-    assert len(cands.sentences) == 1
+    assert len(cands.sentence_ids) == 1
     assert cands.truth_index == 0
     # any policy earns +1
     _, r, _ = env1.step(state, cands.action_ids[0], cands)
@@ -153,7 +158,7 @@ def test_step_truth_cluster_rewards_plus_one(world):
     assert r == 1
     # uttered sentence is the scripted truth, then the env's scripted reply
     history = _texts(env, nxt)
-    assert history[1] == cands.sentences[cands.truth_index]
+    assert history[1] == _sentences(env, cands)[cands.truth_index]
     assert history[1] == d.turns[1].text
     if len(d.turns) > 2:
         assert history[2] == d.turns[2].text
@@ -174,7 +179,7 @@ def test_step_wrong_cluster_rewards_minus_one(world):
         assert r == -1
         # uttered sentence comes from the chosen cluster's candidates
         history = _texts(env, nxt)
-        pool = [s for s, a in zip(cands.sentences, cands.action_ids)
+        pool = [s for s, a in zip(_sentences(env, cands), cands.action_ids)
                 if a == wrong[0]]
         assert history[1] in pool
         # the env reply still follows the script

@@ -132,6 +132,12 @@ def test_config_hash_ignores_out_dir():
     assert len(config_hash(a)) == 16
 
 
+def test_config_hash_of_default_config_is_stable():
+    # a change here invalidates every finished output directory
+    cfg = ExperimentConfig(corpus="c.jsonl", embeddings={100: "e.txt"})
+    assert config_hash(cfg) == "a0b1750e8f8265cd"
+
+
 def test_config_file_roundtrip_and_path_resolution(tmp_path):
     _write_world(tmp_path)
     raw = {

@@ -20,6 +20,7 @@ from chatdqn.neuralnet import (
     gru_backward,
     gru_forward,
     init_gru_params,
+    pad_batch,
     qnet_loss_and_grads,
     regressor_loss_and_grads,
     sigmoid,
@@ -194,6 +195,102 @@ def test_gru_forward_padding_rows_are_ignored():
 
 
 # ---------------------------------------------------------------------------
+# padded batches
+
+
+def _pad_row_gather(vectors, rows):
+    """Reference: gather from the vectors with one all-zero row appended,
+    padded cells pointing at that row; T = max(1, longest row)."""
+    ext = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    t_max = max(1, int(lengths.max()) if len(lengths) else 1)
+    idx = np.full((len(rows), t_max), len(vectors), dtype=np.int64)
+    for i, ids in enumerate(rows):
+        if ids:
+            idx[i, : len(ids)] = ids
+    return ext[idx], lengths
+
+
+def _prefix_loop(vectors, offsets, h):
+    """Reference: the first h rows of each offsets block, zero-filled after
+    the block's end, T = min(h, longest block)."""
+    starts = np.asarray(offsets[:-1], dtype=np.int64)
+    lengths = np.minimum(np.diff(offsets), h).astype(np.int64)
+    X = np.zeros((len(starts), int(lengths.max()), vectors.shape[1]))
+    for i, (a, n) in enumerate(zip(starts, lengths)):
+        X[i, :n] = vectors[a : a + n]
+    return X, lengths
+
+
+def _same_bits(got, want):
+    (X, lengths), (X0, lengths0) = got, want
+    assert X.dtype == X0.dtype and X.shape == X0.shape
+    assert X.tobytes() == X0.tobytes()
+    assert lengths.dtype == lengths0.dtype and np.array_equal(lengths, lengths0)
+
+
+def test_pad_batch_matches_pad_row_gather_and_prefix_loop():
+    rng = np.random.default_rng(40)
+    vectors = rng.normal(size=(30, 4))
+    batches = [[()], [(), (), ()], [(7,), ()], [(), (3, 3, 29)]]
+    for _ in range(40):
+        B = int(rng.integers(1, 7))
+        batches.append([tuple(rng.integers(0, 30, size=int(rng.integers(0, 6))).tolist())
+                        for _ in range(B)])
+    for rows in batches:
+        _same_bits(pad_batch(vectors, rows), _pad_row_gather(vectors, rows))
+    for h in (1, 2, 5, 50):
+        offsets = np.cumsum([0, *rng.integers(1, 8, size=4)])
+        rows = [range(a, min(a + h, b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        _same_bits(pad_batch(vectors, rows), _prefix_loop(vectors, offsets, h))
+    X, lengths = pad_batch(vectors, [])
+    assert X.shape == (0, 1, 4) and lengths.shape == (0,)
+
+
+def test_all_empty_batch_through_both_networks():
+    # every row of length 0: one frozen step, so the networks see the zero
+    # state, as if they had run no step at all
+    X, lengths = pad_batch(np.ones((5, 2)), [(), (), ()])
+    net = QNetwork(2, 3, 4, dropout_rate=0.2, rng=np.random.default_rng(41))
+    net.head["b"][...] = np.array([1.0, -2.0, 0.5, 3.0])
+    assert np.array_equal(net.forward(X, lengths), np.tile(net.head["b"], (3, 1)))
+    _, grads = qnet_loss_and_grads(net, X, lengths, [0, 1, 3], [0.3, -0.1, 2.0],
+                                   train_mode=True, rng=np.random.default_rng(42))
+    assert grads["head.b"].any()
+    for name, g in grads.items():
+        if name != "head.b":
+            assert not g.any(), name
+
+    model = RewardRegressor(2, 3, rng=np.random.default_rng(43))
+    rng = np.random.default_rng(44)
+    for k in ("bn2.gamma", "bn2.beta"):
+        model.params()[k][...] = rng.normal(size=3)
+    model.bn2_mean[...] = rng.normal(size=3)
+    model.bn2_var[...] = rng.uniform(0.5, 2.0, size=3)
+    h_norm = model.bn2["gamma"] * ((0.0 - model.bn2_mean) / np.sqrt(model.bn2_var + 1e-5)) \
+        + model.bn2["beta"]
+    want = np.zeros((3, 3)) + h_norm
+    preds = model.forward(X, lengths, train_mode=False)
+    assert np.array_equal(preds, want @ model.head["W"][0] + model.head["b"][0])
+    with pytest.raises(ValueError, match=">= 2"):
+        model.forward(X, lengths, train_mode=True)
+
+
+def test_train_mode_regressor_ignores_running_stats():
+    model = RewardRegressor(2, 3, rng=np.random.default_rng(45))
+    rng = np.random.default_rng(46)
+    X, lengths = tiny_batch(rng, B=4, L=3, m=2, lengths=[2, 3, 1, 3])
+    targets = rng.normal(size=4)
+    loss1, g1 = regressor_loss_and_grads(model, X, lengths, targets)
+    for buf in (model.bn1_mean, model.bn1_var, model.bn2_mean, model.bn2_var):
+        buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+    loss2, g2 = regressor_loss_and_grads(model, X, lengths, targets)
+    assert loss1 == loss2
+    for name in g1:
+        assert np.array_equal(g1[name], g2[name]), name
+
+
+# ---------------------------------------------------------------------------
 # QNetwork forward
 
 
@@ -354,10 +451,10 @@ def test_regressor_gradcheck_tiny():
     targets = rng.normal(size=4) * 3.0
 
     def loss_fn():
-        # update_running=False: finite-difference probes must not drift
-        # the batch-norm running statistics
+        # probes drift the batch-norm running statistics, which train-mode
+        # outputs never read
         return regressor_loss_and_grads(model, X, lengths, targets,
-                                        train_mode=True, update_running=False)
+                                        train_mode=True)
 
     finite_difference_check(loss_fn, model.params())
 

@@ -111,7 +111,7 @@ def test_agent_utterance_comes_from_chosen_cluster(repl_world, tmp_path):
     # chosen cluster id
     cand = {}
     for o in out:
-        m = re.match(r"  \[(\d+)\] \((?:scripted|distractor)\) (.*)", o)
+        m = re.match(r"  \[(\d+)\] (.*)", o)
         if m:
             cand.setdefault(int(m.group(1)), []).append(m.group(2))
     assert uttered in cand[chosen]

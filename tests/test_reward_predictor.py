@@ -54,7 +54,7 @@ def test_phi_zero_target_is_agent_turn_count(tiny_world):
     distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(1))
     for d, dd in zip(corpus, distorted):
         assert dd.label == d.n_agent_turns
-        assert not any(dd.replaced_mask)
+        assert dd.turns == d.turns
 
 
 def test_labels_match_mask_arithmetic(tiny_world):
@@ -62,9 +62,10 @@ def test_labels_match_mask_arithmetic(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS,
                                np.random.default_rng(2))
-    for dd in distorted:
-        n = len(dd.replaced_mask)
-        k = sum(dd.replaced_mask)
+    originals = [d for d in corpus for _ in DISTORTION_FRACTIONS]
+    for d, dd in zip(originals, distorted, strict=True):
+        n = d.n_agent_turns
+        k = sum(dd.turns[i].text != d.turns[i].text for i in d.agent_turn_indices)
         assert dd.label == (n - k) - k
 
 
@@ -208,7 +209,7 @@ def test_single_example_overfit(tiny_world):
     model = train_predictor(X, lengths, y, cfg)
     pair = [0, 0]
     loss, _ = regressor_loss_and_grads(model, X[pair], lengths[pair], y[pair],
-                                       train_mode=True, update_running=False)
+                                       train_mode=True)
     assert loss < 1e-2
 
 
