@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clustering import ClusterModel
-from .corpus import Corpus, require_ints, stable_seed
+from .corpus import Corpus, require_field_types, stable_seed
 from .environment import DialogueEnv, episode_reward
 from .neuralnet import Adam, QNetwork, qnet_loss_and_grads
 
@@ -71,11 +71,7 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, "n_actions", "embedding_dim", "hidden_dim", "candidates",
-                     "history_len", "burn_in", "batch_size", "target_sync_period",
-                     "learn_steps", "test_steps", "memory_capacity", "seed")
-        if self.epsilon_decay_steps is not None:
-            require_ints(self, "epsilon_decay_steps")
+        require_field_types(self)
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.gamma <= 1.0:

@@ -27,6 +27,7 @@ __all__ = [
     "load_qnetwork",
     "architecture_of",
     "atomic_write",
+    "write_json",
 ]
 
 _MAGIC = b"CDQ1"
@@ -49,6 +50,14 @@ def atomic_write(path: str, mode: str, **open_kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_json(path: str, obj) -> None:
+    """Write `obj` as canonical JSON (sorted keys, no spaces, one trailing
+    newline) through `atomic_write`: the one writer of every JSON artifact."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 @dataclass(eq=False)

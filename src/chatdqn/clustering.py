@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_json
+
 __all__ = [
     "ClusterModel",
     "InertiaIncreaseError",
@@ -257,9 +259,7 @@ def save_cluster_model(model: ClusterModel, path: str, extra: dict | None = None
     }
     if extra:
         obj.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def load_cluster_model(path: str) -> ClusterModel:

@@ -9,6 +9,7 @@ line: {"id": ..., "turns": [{"speaker": "env"|"agent", "text": ...}, ...]}.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write, write_json
 from .clustering import ClusterModel, assign_many
 from .embeddings import tokenize
 
@@ -179,7 +181,7 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for d in corpus:
             obj = {
                 "id": d.id,
@@ -282,9 +284,7 @@ def save_splits(splits: Sequence[DataSplit], path: str, extra: dict | None = Non
     }
     if extra:
         obj.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def load_splits(path: str) -> list[DataSplit]:
@@ -361,10 +361,20 @@ def stable_seed(*parts: int | str) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
-def require_ints(obj, *names: str) -> None:
-    """Raise ValueError unless each named attribute of `obj` is an int; a
-    bool or a float (such as a config file's `true` or `8.0`) is refused."""
-    for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def require_field_types(obj) -> None:
+    """Raise ValueError unless each `int` or `float` field of the dataclass
+    `obj` holds a value of its annotated type. An `int` field takes an int,
+    not a bool or a float (such as a config file's `true` or `8.0`); a
+    `float` field takes a finite int or float, not a bool, a str or a NaN.
+    A field annotated `... | None` may also hold None. The annotations are
+    read as the strings that `from __future__ import annotations` leaves."""
+    for f in dataclasses.fields(obj):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(obj, f.name)
+        if kind not in ("int", "float") or value is None and optional == "None":
+            continue
+        types = (int,) if kind == "int" else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or kind == "float" and not math.isfinite(value)):
+            noun = "an integer" if kind == "int" else "a finite number"
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")

@@ -2,13 +2,24 @@
 
 Stages: ingest -> embed -> cluster_sentences -> cluster_dialogues -> split
 -> train -> evaluate -> report -> compare. Each stage leaves a marker file
-carrying the config hash; re-running a completed stage is a no-op, and a
-failed run can resume from its partial artifacts. Any stage failure is
-re-raised as StageError naming the stage.
+carrying the config hash, as do a run's `done.json` and `evals.json`. One
+freshness rule reads all of them: a missing file means "not done", a file
+with the current hash means "done" (re-running it is a no-op, so a failed
+run resumes from its partial artifacts), and a file with another config's
+hash refuses the run. Any stage failure is re-raised as StageError naming
+the stage.
 
-Reports, checkpoints, and markers never contain wall-clock values, so a
-rerun with the same config and seed reproduces every artifact byte for
-byte.
+The dialogues come in two roles, each with its own corpus and splits file
+(`_ROLES`): "train", the config's `corpus` or `ingest_from`, and "test",
+its optional `test_corpus`, held out from training and split by the same
+dialogue clusters. Ingest, split, evaluate, report and compare run once
+per role.
+
+Every JSON artifact is written by `checkpoint.write_json` and every other
+file through `checkpoint.atomic_write`, so a write that fails halfway
+leaves the previous file. Reports, checkpoints, and markers never contain
+wall-clock values, so a rerun with the same config and seed reproduces
+every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -17,12 +28,12 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .agent import AgentConfig, evaluate, train
-from .checkpoint import atomic_write, load_qnetwork, save_agent_checkpoint
+from .checkpoint import atomic_write, load_qnetwork, save_agent_checkpoint, write_json
 from .clustering import (
     dialogue_vectors,
     fit,
@@ -35,7 +46,7 @@ from .corpus import (
     ingest_personachat,
     load_corpus,
     load_splits,
-    require_ints,
+    require_field_types,
     save_corpus,
     save_splits,
     split_corpus,
@@ -103,7 +114,7 @@ class ExperimentConfig:
             raise ValueError("set exactly one of corpus / ingest_from")
         if not self.embeddings:
             raise ValueError("at least one embedding table is required")
-        require_ints(self, "seed", "k_splits")
+        require_field_types(self)
         if self.k_splits < 1:
             raise ValueError("k_splits must be >= 1")
 
@@ -112,47 +123,27 @@ class ExperimentConfig:
         return tuple(sorted(int(d) for d in self.embeddings))
 
     def to_dict(self) -> dict:
-        d = {
-            "version": 1,
-            "corpus": self.corpus,
-            "ingest_from": self.ingest_from,
-            "test_corpus": self.test_corpus,
-            "embeddings": {str(k): v for k, v in sorted(self.embeddings.items())},
-            "out_dir": self.out_dir,
-            "k_splits": self.k_splits,
-            "agent": vars(self.agent).copy(),
-            "predictor": vars(self.predictor).copy(),
-            "seed": self.seed,
-        }
+        d = {"version": 1, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        d["embeddings"] = {str(k): v for k, v in sorted(self.embeddings.items())}
+        d["agent"], d["predictor"] = vars(self.agent).copy(), vars(self.predictor).copy()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of a `to_dict` dict; a missing key takes its default."""
         if d.get("version") != 1:
             raise ValueError(f"unsupported config version: {d.get('version')!r}")
-        known = {
-            "version", "corpus", "ingest_from", "test_corpus", "embeddings",
-            "out_dir", "k_splits", "agent", "predictor", "seed",
-        }
-        unknown = set(d) - known
+        kwargs = {k: v for k, v in d.items() if k != "version"}
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         try:
-            agent = AgentConfig(**d.get("agent", {}))
-            predictor = PredictorConfig(**d.get("predictor", {}))
+            kwargs["agent"] = AgentConfig(**d.get("agent", {}))
+            kwargs["predictor"] = PredictorConfig(**d.get("predictor", {}))
         except TypeError as exc:
             raise ValueError(f"bad agent/predictor config: {exc}") from None
-        return cls(
-            corpus=d.get("corpus"),
-            ingest_from=d.get("ingest_from"),
-            test_corpus=d.get("test_corpus"),
-            embeddings={int(k): v for k, v in d.get("embeddings", {}).items()},
-            out_dir=d.get("out_dir", "run"),
-            k_splits=d.get("k_splits", 20),
-            agent=agent,
-            predictor=predictor,
-            seed=d.get("seed", 0),
-        )
+        kwargs["embeddings"] = {int(k): v for k, v in d.get("embeddings", {}).items()}
+        return cls(**kwargs)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -168,9 +159,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def save_experiment_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, cfg.to_dict())
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -210,20 +199,26 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 # stage plumbing
 
 
+# role -> (corpus file, splits file) in out_dir. "train" is read from the
+# config's corpus or ingest_from, "test" from its test_corpus when it has one.
+_ROLES = {
+    "train": ("corpus.jsonl", "splits.json"),
+    "test": ("test_corpus.jsonl", "test_splits.json"),
+}
+
+
 @dataclass(eq=False)
 class _Context:
     cfg: ExperimentConfig
     h: str
     out: str
     log: object = None
-    corpus: Corpus | None = None
-    test_corpus: Corpus | None = None
+    corpora: dict = field(default_factory=dict)     # role -> Corpus
     tables: dict = field(default_factory=dict)      # dim -> WordEmbeddingTable
-    embedded: dict = field(default_factory=dict)    # (corpus name, dim) -> embed_corpus
+    embedded: dict = field(default_factory=dict)    # (role, dim) -> embed_corpus
     smodels: dict = field(default_factory=dict)     # dim -> sentence ClusterModel
     dmodel: object = None                           # dialogue ClusterModel
-    splits: list = field(default_factory=list)
-    test_splits: list = field(default_factory=list)
+    splits: dict = field(default_factory=dict)      # role -> [DataSplit]
     trained: list = field(default_factory=list)     # [dim, split_id] pairs
     skipped: list = field(default_factory=list)
 
@@ -233,36 +228,36 @@ def _say(ctx: _Context, msg: str) -> None:
         ctx.log(msg)
 
 
-def _marker_path(out: str, stage: str) -> str:
-    return os.path.join(out, f"{stage}.done.json")
-
-
-def _write_json(path: str, obj: dict) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _write_marker(ctx: _Context, stage: str, **extra) -> None:
-    _write_json(_marker_path(ctx.out, stage), {"stage": stage, "config_hash": ctx.h, **extra})
-
-
-def _marker_ok(ctx: _Context, stage: str) -> bool:
-    path = _marker_path(ctx.out, stage)
+def _is_done(ctx: _Context, path: str) -> bool:
+    """The one freshness rule of stage markers and run files: False when
+    `path` is missing, True when it carries the config hash. A file with
+    another config's hash refuses the run."""
     if not os.path.exists(path):
         return False
     found = _read_json(path).get("config_hash")
     if found != ctx.h:
         raise ValueError(
-            f"{stage}: output dir holds artifacts for config {found!r}, "
-            f"current config is {ctx.h!r}; use a fresh --out directory"
+            f"{os.path.relpath(path, ctx.out)}: output dir holds artifacts for config "
+            f"{found!r}, current config is {ctx.h!r}; use a fresh --out directory"
         )
     return True
+
+
+def _marker_path(out: str, stage: str) -> str:
+    return os.path.join(out, f"{stage}.done.json")
+
+
+def _marker_ok(ctx: _Context, stage: str) -> bool:
+    return _is_done(ctx, _marker_path(ctx.out, stage))
+
+
+def _write_marker(ctx: _Context, stage: str, **extra) -> None:
+    write_json(_marker_path(ctx.out, stage), {"stage": stage, "config_hash": ctx.h, **extra})
 
 
 def _run_stage(name: str, fn) -> None:
@@ -278,29 +273,29 @@ def _run_stage(name: str, fn) -> None:
 # stages
 
 
-def _stage_ingest(ctx: _Context) -> None:
-    cfg = ctx.cfg
-    cpath = os.path.join(ctx.out, "corpus.jsonl")
-    tpath = os.path.join(ctx.out, "test_corpus.jsonl")
-    if _marker_ok(ctx, "ingest"):
-        ctx.corpus = load_corpus(cpath)
-        ctx.test_corpus = load_corpus(tpath) if os.path.exists(tpath) else None
-        return
+def _read_input(cfg: ExperimentConfig, role: str) -> Corpus:
+    if role == "test":
+        return load_corpus(cfg.test_corpus)
     if cfg.ingest_from is not None:
-        ctx.corpus = ingest_personachat(cfg.ingest_from)
-    else:
-        ctx.corpus = load_corpus(cfg.corpus)
-    save_corpus(ctx.corpus, cpath)
-    if cfg.test_corpus is not None:
-        ctx.test_corpus = load_corpus(cfg.test_corpus)
-        save_corpus(ctx.test_corpus, tpath)
-    _say(ctx, f"ingest: {len(ctx.corpus)} dialogues"
-              + (f", {len(ctx.test_corpus)} test" if ctx.test_corpus else ""))
-    _write_marker(
-        ctx, "ingest",
-        dialogues=len(ctx.corpus),
-        test_dialogues=len(ctx.test_corpus) if ctx.test_corpus else None,
-    )
+        return ingest_personachat(cfg.ingest_from)
+    return load_corpus(cfg.corpus)
+
+
+def _stage_ingest(ctx: _Context) -> None:
+    done = _marker_ok(ctx, "ingest")
+    roles = _ROLES if ctx.cfg.test_corpus is not None else ("train",)
+    for role in roles:
+        path = os.path.join(ctx.out, _ROLES[role][0])
+        if done:
+            ctx.corpora[role] = load_corpus(path)
+        else:
+            ctx.corpora[role] = _read_input(ctx.cfg, role)
+            save_corpus(ctx.corpora[role], path)
+    if done:
+        return
+    n = {role: len(corpus) for role, corpus in ctx.corpora.items()}
+    _say(ctx, f"ingest: {n['train']} dialogues" + (f", {n['test']} test" if "test" in n else ""))
+    _write_marker(ctx, "ingest", dialogues=n["train"], test_dialogues=n.get("test"))
 
 
 def _stage_embed(ctx: _Context) -> None:
@@ -313,14 +308,12 @@ def _stage_embed(ctx: _Context) -> None:
         )
 
 
-def _embedded(ctx: _Context, name: str, dim: int):
-    """(vectors, offsets) of the "train" or "test" corpus under the dim
-    table, embedded on first use: a rerun whose stages are all done embeds
-    nothing."""
-    key = (name, dim)
+def _embedded(ctx: _Context, role: str, dim: int):
+    """(vectors, offsets) of the role's corpus under the dim table, embedded
+    on first use: a rerun whose stages are all done embeds nothing."""
+    key = (role, dim)
     if key not in ctx.embedded:
-        corpus = ctx.corpus if name == "train" else ctx.test_corpus
-        ctx.embedded[key] = embed_corpus(corpus, ctx.tables[dim])
+        ctx.embedded[key] = embed_corpus(ctx.corpora[role], ctx.tables[dim])
     return ctx.embedded[key]
 
 
@@ -358,24 +351,22 @@ def _stage_cluster_dialogues(ctx: _Context) -> None:
 
 
 def _stage_split(ctx: _Context) -> None:
-    cfg = ctx.cfg
-    spath = os.path.join(ctx.out, "splits.json")
-    tpath = os.path.join(ctx.out, "test_splits.json")
-    if _marker_ok(ctx, "split"):
-        ctx.splits = load_splits(spath)
-        ctx.test_splits = load_splits(tpath) if os.path.exists(tpath) else []
-        return
-    base = cfg.dims[0]
-    ctx.splits = split_corpus(
-        ctx.corpus, ctx.dmodel, dialogue_vectors(*_embedded(ctx, "train", base)))
-    save_splits(ctx.splits, spath, extra={"config_hash": ctx.h})
-    if ctx.test_corpus is not None:
-        ctx.test_splits = split_corpus(
-            ctx.test_corpus, ctx.dmodel, dialogue_vectors(*_embedded(ctx, "test", base)))
-        save_splits(ctx.test_splits, tpath, extra={"config_hash": ctx.h})
-    sizes = [len(s.dialogue_ids) for s in ctx.splits]
-    _say(ctx, f"split: sizes {sizes}")
-    _write_marker(ctx, "split", sizes=sizes)
+    """Split each role's dialogues by the dialogue clusters of the train
+    corpus, so test split i holds the unseen dialogues nearest train split i."""
+    done = _marker_ok(ctx, "split")
+    base = ctx.cfg.dims[0]
+    for role, corpus in ctx.corpora.items():
+        path = os.path.join(ctx.out, _ROLES[role][1])
+        if done:
+            ctx.splits[role] = load_splits(path)
+            continue
+        ctx.splits[role] = split_corpus(
+            corpus, ctx.dmodel, dialogue_vectors(*_embedded(ctx, role, base)))
+        save_splits(ctx.splits[role], path, extra={"config_hash": ctx.h})
+    if not done:
+        sizes = [len(s.dialogue_ids) for s in ctx.splits["train"]]
+        _say(ctx, f"split: sizes {sizes}")
+        _write_marker(ctx, "split", sizes=sizes)
 
 
 def _run_dir(out: str, dim: int, split_id: int) -> str:
@@ -414,19 +405,19 @@ def load_policy(cfg: ExperimentConfig, checkpoint_path: str):
 
 def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
     """Train the (dim, split) run into its run directory, unless its
-    `done.json` already carries the config hash; returns the directory."""
+    `done.json` says it is done; returns the directory."""
     cfg = ctx.cfg
     rdir = _run_dir(ctx.out, dim, split.split_id)
     done = os.path.join(rdir, "done.json")
-    if os.path.exists(done) and _read_json(done).get("config_hash") == ctx.h:
+    if _is_done(ctx, done):
         return rdir
     os.makedirs(rdir, exist_ok=True)
     acfg = _agent_cfg(cfg, dim, split.split_id)
     report, agent_, _env = train(
-        ctx.corpus, acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
+        ctx.corpora["train"], acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
         dialogue_ids=split.dialogue_ids, log=ctx.log,
     )
-    _write_json(
+    write_json(
         os.path.join(rdir, "report.json"),
         {
             "config_hash": ctx.h,
@@ -442,7 +433,7 @@ def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
     )
     save_agent_checkpoint(os.path.join(rdir, "checkpoint.bin"), agent_, ctx.h)
     emit_learning_curve(rdir)
-    _write_json(done, {"config_hash": ctx.h})
+    write_json(done, {"config_hash": ctx.h})
     rows = agent_.target_rows_computed + agent_.target_rows_cached
     hit_rate = f"{agent_.target_rows_cached / rows:.1%}" if rows else "n/a"
     _say(
@@ -458,7 +449,7 @@ def _stage_train(ctx: _Context) -> None:
     cfg = ctx.cfg
     ctx.trained, ctx.skipped = [], []
     for dim in cfg.dims:
-        for split in ctx.splits:
+        for split in ctx.splits["train"]:
             if len(split.dialogue_ids) < 2:
                 ctx.skipped.append([dim, split.split_id])
                 continue
@@ -482,51 +473,45 @@ def _eval_dict(ev) -> dict:
 
 
 def _stage_evaluate(ctx: _Context) -> None:
+    """Evaluate each run on its split of every role; a role's split with
+    fewer than 2 dialogues (or a missing test corpus) gives a null eval."""
     cfg = ctx.cfg
     if _marker_ok(ctx, "evaluate"):
         return
-    test_by_id = {s.split_id: s for s in ctx.test_splits}
     for dim, sid in ctx.trained:
         rdir = _run_dir(ctx.out, dim, sid)
         epath = os.path.join(rdir, "evals.json")
-        if os.path.exists(epath) and _read_json(epath).get("config_hash") == ctx.h:
+        if _is_done(ctx, epath):
             continue
         acfg = _agent_cfg(cfg, dim, sid)
         net, _ck = load_qnetwork(
             os.path.join(rdir, "checkpoint.bin"),
             expected_arch=dict(_expected_arch(cfg), embedding_dim=dim),
         )
-        split = next(s for s in ctx.splits if s.split_id == sid)
-        ev_train = evaluate(
-            net, ctx.corpus, acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
-            dialogue_ids=split.dialogue_ids, seed=cfg.seed,
-        )
-        ev_test = None
-        tsplit = test_by_id.get(sid)
-        if ctx.test_corpus is not None and tsplit and len(tsplit.dialogue_ids) >= 2:
-            ev_test = evaluate(
-                net, ctx.test_corpus, acfg, ctx.smodels[dim], _embedded(ctx, "test", dim)[0],
-                dialogue_ids=tsplit.dialogue_ids, seed=cfg.seed,
-            )
-        _write_json(
+        evals = dict.fromkeys(_ROLES)
+        for role, splits in ctx.splits.items():
+            split = next((s for s in splits if s.split_id == sid), None)
+            if split is not None and len(split.dialogue_ids) >= 2:
+                evals[role] = _eval_dict(evaluate(
+                    net, ctx.corpora[role], acfg, ctx.smodels[dim],
+                    _embedded(ctx, role, dim)[0],
+                    dialogue_ids=split.dialogue_ids, seed=cfg.seed,
+                ))
+        write_json(
             epath,
             {
                 "config_hash": ctx.h,
                 "eval_budget_steps": cfg.agent.test_steps,
-                "eval_train": _eval_dict(ev_train),
-                "eval_test": _eval_dict(ev_test) if ev_test is not None else None,
+                **{f"eval_{role}": ev for role, ev in evals.items()},
             },
         )
-        _say(
-            ctx,
-            f"evaluate dim={dim} split={sid}: train {ev_train.mean_reward:+.3f}"
-            + (f", test {ev_test.mean_reward:+.3f}" if ev_test else ""),
-        )
+        _say(ctx, f"evaluate dim={dim} split={sid}: " + ", ".join(
+            f"{role} {ev['mean_reward']:+.3f}" for role, ev in evals.items() if ev))
     _write_marker(ctx, "evaluate")
 
 
 def _fmt(v) -> str:
-    if v is None or v == "":
+    if v is None:
         return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -537,9 +522,8 @@ def _stage_report(ctx: _Context) -> None:
     cfg = ctx.cfg
     if _marker_ok(ctx, "report"):
         return
-    rows = []  # (label, dim, episodes, steps, ma, ev_train, ev_test)
-    train_ids: set = set()
-    test_ids: set = set()
+    rows = []  # (label, dim, episodes, steps, ma, eval_train, eval_test)
+    evaluated = {role: set() for role in _ROLES}  # role -> evaluated dialogue ids
     for dim in cfg.dims:
         dim_rows = []
         for d, sid in ctx.trained:
@@ -549,70 +533,36 @@ def _stage_report(ctx: _Context) -> None:
             rep = _read_json(os.path.join(rdir, "report.json"))
             evs = _read_json(os.path.join(rdir, "evals.json"))
             ma = rep["moving_avg"][-1] if rep["episodes"] else None
-            ev_tr = evs["eval_train"]
-            ev_te = evs["eval_test"]
-            train_ids.update(ev_tr["dialogue_ids"])
-            if ev_te:
-                test_ids.update(ev_te["dialogue_ids"])
-            dim_rows.append(
-                (
-                    f"split {sid}", dim, rep["episodes"], rep["steps"], ma,
-                    ev_tr["mean_reward"], ev_te["mean_reward"] if ev_te else None,
-                )
-            )
+            means = []
+            for role, ids in evaluated.items():
+                ev = evs[f"eval_{role}"]
+                if ev:
+                    ids.update(ev["dialogue_ids"])
+                means.append(ev["mean_reward"] if ev else None)
+            dim_rows.append((f"split {sid}", dim, rep["episodes"], rep["steps"], ma, *means))
         rows.extend(dim_rows)
-
-        def col(i):
-            vals = [r[i] for r in dim_rows if r[i] is not None]
-            return vals
-
-        rows.append(
-            (
-                "Average", dim,
-                float(np.mean(col(2))), float(np.mean(col(3))),
-                float(np.mean(col(4))) if col(4) else None,
-                float(np.mean(col(5))),
-                float(np.mean(col(6))) if col(6) else None,
-            )
-        )
-        rows.append(
-            (
-                "Sum", dim,
-                int(np.sum(col(2))), int(np.sum(col(3))),
-                float(np.sum(col(4))) if col(4) else None,
-                float(np.sum(col(5))),
-                float(np.sum(col(6))) if col(6) else None,
-            )
-        )
-    bounds_tr = baseline_bounds(
-        (ctx.corpus.get(i) for i in sorted(train_ids)), cfg.agent.candidates
-    )
-    bounds_te = (
-        baseline_bounds((ctx.test_corpus.get(i) for i in sorted(test_ids)), cfg.agent.candidates)
-        if test_ids
-        else (None, None, None)
-    )
+        cols = [[v for v in col if v is not None] for col in list(zip(*dim_rows))[2:]]
+        for label, agg in (("Average", np.mean), ("Sum", np.sum)):
+            rows.append((label, dim, *(agg(col) if col else None for col in cols)))
+    bounds = {
+        role: baseline_bounds(
+            (ctx.corpora[role].get(i) for i in sorted(ids)), cfg.agent.candidates)
+        if ids else (None, None, None)
+        for role, ids in evaluated.items()
+    }
     for label, i in (("Upper Bound", 0), ("Lower Bound", 1), ("Random Sel.", 2)):
-        rows.append((label, None, None, None, bounds_tr[i], bounds_tr[i], bounds_te[i]))
+        rows.append((label, None, None, None, bounds["train"][i],
+                     *(b[i] for b in bounds.values())))
 
     path = os.path.join(ctx.out, "report.csv")
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={ctx.h}\n")
         fh.write(f"# eval_budget_steps={cfg.agent.test_steps}\n")
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["row", "dim", "episodes", "steps", "train_ma100", "eval_train", "eval_test"])
-        for label, dim, eps, steps, ma, ev_tr, ev_te in rows:
-            w.writerow(
-                [
-                    label,
-                    "" if dim is None else str(dim),
-                    _fmt(eps),
-                    _fmt(steps),
-                    _fmt(ma),
-                    _fmt(ev_tr),
-                    _fmt(ev_te),
-                ]
-            )
+        w.writerow(["row", "dim", "episodes", "steps", "train_ma100",
+                    *(f"eval_{role}" for role in _ROLES)])
+        for label, dim, *values in rows:
+            w.writerow([label, "" if dim is None else str(dim), *map(_fmt, values)])
     _write_marker(ctx, "report")
     _say(ctx, f"report: {path}")
 
@@ -641,29 +591,28 @@ def _stage_compare(ctx: _Context) -> None:
         return
     path = os.path.join(ctx.out, "comparisons.json")
     if len(cfg.dims) < 2:
-        _write_json(path, {"config_hash": ctx.h, "note": "single embedding size; nothing to compare"})
+        write_json(path, {"config_hash": ctx.h,
+                          "note": "single embedding size; nothing to compare"})
         _write_marker(ctx, "compare")
         return
     d1, d2 = cfg.dims[0], cfg.dims[1]
     splits1 = {sid for d, sid in ctx.trained if d == d1}
     splits2 = {sid for d, sid in ctx.trained if d == d2}
-    common = sorted(splits1 & splits2)
-    tr_a, tr_b, te_a, te_b = [], [], [], []
-    for sid in common:
+    samples = {role: ([], []) for role in _ROLES}  # role -> (d1 rewards, d2 rewards)
+    for sid in sorted(splits1 & splits2):
         e1 = _read_json(os.path.join(_run_dir(ctx.out, d1, sid), "evals.json"))
         e2 = _read_json(os.path.join(_run_dir(ctx.out, d2, sid), "evals.json"))
-        tr_a.append(e1["eval_train"]["mean_reward"])
-        tr_b.append(e2["eval_train"]["mean_reward"])
-        if e1["eval_test"] and e2["eval_test"]:
-            te_a.append(e1["eval_test"]["mean_reward"])
-            te_b.append(e2["eval_test"]["mean_reward"])
-    _write_json(
+        for role, (a, b) in samples.items():
+            key = f"eval_{role}"
+            if e1[key] and e2[key]:
+                a.append(e1[key]["mean_reward"])
+                b.append(e2[key]["mean_reward"])
+    write_json(
         path,
         {
             "config_hash": ctx.h,
             "dims": [d1, d2],
-            "eval_train": _cmp_samples(tr_a, tr_b),
-            "eval_test": _cmp_samples(te_a, te_b),
+            **{f"eval_{role}": _cmp_samples(a, b) for role, (a, b) in samples.items()},
         },
     )
     _write_marker(ctx, "compare")
@@ -689,20 +638,12 @@ STAGES = tuple(_STAGE_BODIES)
 
 
 def _make_context(cfg: ExperimentConfig, log=None) -> _Context:
-    h = config_hash(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    cpath = os.path.join(cfg.out_dir, "config.resolved.json")
-    payload = {"config_hash": h, "config": cfg.to_dict()}
-    if os.path.exists(cpath):
-        found = _read_json(cpath).get("config_hash")
-        if found != h:
-            raise ValueError(
-                f"output dir {cfg.out_dir} was produced by config {found!r}, "
-                f"current config is {h!r}; use a fresh --out directory"
-            )
-    else:
-        _write_json(cpath, payload)
-    return _Context(cfg=cfg, h=h, out=cfg.out_dir, log=log)
+    ctx = _Context(cfg=cfg, h=config_hash(cfg), out=cfg.out_dir, log=log)
+    path = os.path.join(ctx.out, "config.resolved.json")
+    if not _is_done(ctx, path):
+        write_json(path, {"config_hash": ctx.h, "config": cfg.to_dict()})
+    return ctx
 
 
 def _run_stages(cfg: ExperimentConfig, log, until: str) -> _Context:
@@ -728,9 +669,10 @@ def train_single(cfg: ExperimentConfig, dim: int, split_id: int, log=None) -> st
     if dim not in cfg.dims:
         raise ValueError(f"dim {dim} not among configured embeddings {cfg.dims}")
     ctx = _run_stages(cfg, log, "split")
-    split = next((s for s in ctx.splits if s.split_id == split_id), None)
+    splits = ctx.splits["train"]
+    split = next((s for s in splits if s.split_id == split_id), None)
     if split is None:
-        raise ValueError(f"no split {split_id}; splits are 0..{len(ctx.splits) - 1}")
+        raise ValueError(f"no split {split_id}; splits are 0..{len(splits) - 1}")
     if len(split.dialogue_ids) < 2:
         raise ValueError(f"split {split_id} has {len(split.dialogue_ids)} dialogues; need >= 2")
 
@@ -745,15 +687,13 @@ def evaluate_checkpoint(
 
     The checkpoint's architecture must agree with the current config.
     """
+    if which == "test" and cfg.test_corpus is None:
+        raise ValueError("config has no test_corpus")
     ctx = _run_stages(cfg, log, "cluster_sentences")
     net = load_policy(cfg, checkpoint_path)
     dim = net.embedding_dim
-    if which == "train":
-        corpus, vectors = ctx.corpus, _embedded(ctx, "train", dim)[0]
-    elif which == "test":
-        if ctx.test_corpus is None:
-            raise ValueError("config has no test_corpus")
-        corpus, vectors = ctx.test_corpus, _embedded(ctx, "test", dim)[0]
+    if which in _ROLES:
+        corpus, vectors = ctx.corpora[which], _embedded(ctx, which, dim)[0]
     else:
         corpus = load_corpus(which)
         vectors, _ = embed_corpus(corpus, ctx.tables[dim])
@@ -864,7 +804,7 @@ def reward_study(
     base = cfg.dims[0]
     pcfg = replace(cfg.predictor, seed=cfg.seed)
     rows = history_length_study(
-        ctx.corpus, ctx.test_corpus, ctx.tables[base], pcfg,
+        ctx.corpora["train"], ctx.corpora["test"], ctx.tables[base], pcfg,
         lengths=lengths, fractions=fractions,
     )
     path = out_path or os.path.join(ctx.out, "study.csv")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, DistortedDialogue, distort_dialogue, require_ints, stable_seed
+from .corpus import Corpus, DistortedDialogue, distort_dialogue, require_field_types, stable_seed
 from .embeddings import WordEmbeddingTable, embed_corpus
 from .neuralnet import Adam, RewardRegressor, pad_batch, regressor_loss_and_grads
 
@@ -52,7 +52,7 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, "hidden_dim", "batch_size", "epochs", "runs", "seed")
+        require_field_types(self)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.batch_size < 2:

@@ -331,6 +331,27 @@ def test_non_integer_agent_or_predictor_field_is_error(cli_world, tmp_path, caps
     assert not os.path.exists(d["out_dir"])  # so no stage marker either
 
 
+@pytest.mark.parametrize("part, key, value", [
+    ("agent", "learning_rate", "0.001"), ("agent", "dropout_rate", "0.2"),
+    ("agent", "gamma", True), ("predictor", "learning_rate", True),
+    ("agent", "learning_rate", float("nan")), ("predictor", "learning_rate", float("inf")),
+])
+def test_non_number_float_field_is_error(cli_world, tmp_path, capsys, part, key, value):
+    # a str learning rate used to load and hash, and failed only when Adam
+    # multiplied by it; `"gamma": true` trained with a discount of 1
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d[part][key] = value
+    d["out_dir"] = str(tmp_path / "out")
+    bad = root / f"bad_{part}_{key}_{value}.json"
+    bad.write_text(json.dumps(d))  # a float NaN is written as the JSON token NaN
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be a finite number" in err
+    assert not os.path.exists(d["out_dir"])
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

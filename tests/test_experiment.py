@@ -17,7 +17,9 @@ from chatdqn import (
     save_embeddings_file,
 )
 from chatdqn.agent import moving_average
-from chatdqn.corpus import save_corpus
+from chatdqn.checkpoint import write_json
+from chatdqn.clustering import ClusterModel, save_cluster_model
+from chatdqn.corpus import DataSplit, load_corpus, save_corpus, save_splits
 from chatdqn.experiment import (
     SEED_ENV_VAR,
     STAGES,
@@ -32,7 +34,6 @@ from chatdqn.experiment import (
     run_experiment,
     save_experiment_config,
     train_single,
-    _write_json,
 )
 from chatdqn.reward_predictor import PredictorConfig
 
@@ -136,6 +137,15 @@ def test_config_hash_of_default_config_is_stable():
     # a change here invalidates every finished output directory
     cfg = ExperimentConfig(corpus="c.jsonl", embeddings={100: "e.txt"})
     assert config_hash(cfg) == "a0b1750e8f8265cd"
+
+
+def test_float_fields_take_finite_ints():
+    # a float field takes a config file's `1` for `1.0`
+    d = ExperimentConfig(corpus="c", embeddings={6: "e"}).to_dict()
+    d["agent"].update(gamma=1, epsilon_end=0)
+    d["predictor"]["learning_rate"] = 1
+    cfg = ExperimentConfig.from_dict(d)
+    assert (cfg.agent.gamma, cfg.agent.epsilon_end, cfg.predictor.learning_rate) == (1, 0, 1)
 
 
 def test_config_file_roundtrip_and_path_resolution(tmp_path):
@@ -257,8 +267,6 @@ def test_report_csv_shape(pipeline):
 def test_report_bound_rows_match_baseline_bounds(pipeline):
     cfg, out, _ = pipeline
     # oracle: recompute the bounds from the evaluated dialogue ids
-    from chatdqn.corpus import load_corpus
-
     corpus = load_corpus(os.path.join(out, "corpus.jsonl"))
     test_corpus = load_corpus(os.path.join(out, "test_corpus.jsonl"))
     train_ids, test_ids = set(), set()
@@ -359,6 +367,128 @@ def test_cross_directory_determinism(tmp_path):
     assert compared >= 10
 
 
+def _digest(out):
+    return {os.path.relpath(os.path.join(d, f), out): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(out) for f in files}
+
+
+def _write_parlai(corpus, path):
+    """`corpus` as a parl.ai text export: a persona line, then one
+    tab-separated (env, agent) line per exchange."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in corpus:
+            fh.write("1 your persona: i like toys.\n")
+            for n, i in enumerate(range(0, len(d.turns), 2), start=2):
+                fh.write(f"{n} {d.turns[i].text}\t{d.turns[i + 1].text}\n")
+
+
+@pytest.fixture(scope="module", params=["corpus", "ingest_from"])
+def train_only_pipeline(request, tmp_path_factory):
+    """A pipeline whose config has no test corpus; its train corpus is read
+    from JSONL (`corpus`) or from a parl.ai text export (`ingest_from`)."""
+    root = tmp_path_factory.mktemp("trainonly")
+    _write_world(root)
+    cfg = replace(_make_cfg(root), test_corpus=None)
+    if request.param == "ingest_from":
+        _write_parlai(load_corpus(cfg.corpus), str(root / "train.txt"))
+        cfg = replace(cfg, corpus=None, ingest_from=str(root / "train.txt"))
+    return cfg, run_experiment(cfg), root
+
+
+def test_train_only_pipeline_writes_no_test_artifacts(train_only_pipeline):
+    cfg, out, root = train_only_pipeline
+    assert not [n for n in os.listdir(out) if n.startswith("test_")]
+    written = load_corpus(os.path.join(out, "corpus.jsonl"))
+    source = load_corpus(str(root / "corpus.jsonl"))
+    assert [d.turns for d in written] == [d.turns for d in source]
+    if cfg.ingest_from is not None:
+        assert all(i.startswith("pc") for i in written.ids)
+    base = os.path.join(out, "runs", "dim6")
+    assert os.listdir(base)
+    for d in os.listdir(base):
+        evs = json.load(open(os.path.join(base, d, "evals.json")))
+        assert evs["eval_test"] is None
+        assert evs["eval_train"]["episodes"] > 0
+    header, rows = _read_report(out)
+    col = header.index("eval_test")
+    assert [r[col] for r in rows] == [""] * len(rows)
+    assert all(r[header.index("eval_train")] for r in rows)
+    assert json.load(open(os.path.join(out, "ingest.done.json")))["test_dialogues"] is None
+
+
+def test_train_only_pipeline_has_no_test_evaluation(train_only_pipeline):
+    cfg, out, _ = train_only_pipeline
+    ckpt = os.path.join(out, "runs", "dim6", "split000", "checkpoint.bin")
+    assert evaluate_checkpoint(cfg, ckpt, "train")["episodes"] > 0
+    with pytest.raises(ValueError, match="config has no test_corpus"):
+        evaluate_checkpoint(cfg, ckpt, "test")
+    fresh = replace(cfg, out_dir=out + "_fresh")
+    with pytest.raises(ValueError, match="config has no test_corpus"):
+        evaluate_checkpoint(fresh, ckpt, "test")
+    assert not os.path.exists(fresh.out_dir)  # refused before any stage ran
+
+
+def test_train_only_pipeline_rerun_is_byte_identical(train_only_pipeline):
+    cfg, out, _ = train_only_pipeline
+    before = _digest(out)
+    assert run_experiment(cfg) == out
+    assert _digest(out) == before
+
+
+# ------------------------------------------- freshness and crash safety
+
+def _set_hash(path, h):
+    payload = json.load(open(path))
+    payload["config_hash"] = h
+    write_json(path, payload)
+
+
+_RUN0 = os.path.join("runs", "dim6", "split000")
+
+
+@pytest.mark.parametrize("rel, stale_marker, stage", [
+    (os.path.join(_RUN0, "done.json"), None, "train"),
+    (os.path.join(_RUN0, "evals.json"), "evaluate", "evaluate"),
+    ("cluster_dialogues.done.json", None, "cluster_dialogues"),
+])
+def test_file_with_foreign_hash_refuses(tmp_path, rel, stale_marker, stage):
+    # a run file is read by the rule of the stage markers: another config's
+    # hash refuses the run instead of being silently trained over
+    _write_world(tmp_path)
+    cfg = _make_cfg(tmp_path, out_name="foreign")
+    out = run_experiment(cfg)
+    _set_hash(os.path.join(out, rel), "feedfacefeedface")
+    if stale_marker:  # so the stage looks at its run files again
+        os.remove(os.path.join(out, f"{stale_marker}.done.json"))
+    before = _digest(out)
+    with pytest.raises(StageError, match="fresh --out") as err:
+        run_experiment(cfg)
+    assert err.value.stage == stage
+    assert f"stage {stage} failed: {rel}: " in str(err.value)
+    assert _digest(out) == before
+
+
+@pytest.mark.parametrize("rel, until, stage", [
+    ("split.done.json", None, "split"),
+    (os.path.join(_RUN0, "done.json"), None, "train"),
+    (os.path.join(_RUN0, "checkpoint.bin"), "train", "evaluate"),
+])
+def test_truncated_file_refuses_resume(tmp_path, rel, until, stage):
+    # a file cut short, as by a crash outside atomic_write, fails the
+    # resume in the stage that reads it rather than being trusted
+    _write_world(tmp_path)
+    cfg = _make_cfg(tmp_path, out_name="trunc")
+    out = run_experiment(cfg, until=until)
+    path = os.path.join(out, rel)
+    data = open(path, "rb").read()
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    with pytest.raises(StageError) as err:
+        run_experiment(cfg)
+    assert err.value.stage == stage
+    assert str(err.value).startswith(f"stage {stage} failed")
+
+
 # -------------------------------------------------- single-run helpers
 
 def test_train_single_and_evaluate_checkpoint(tmp_path):
@@ -454,20 +584,42 @@ def test_curve_missing_report(tmp_path):
 
 
 def test_failed_json_write_keeps_previous_file(tmp_path, monkeypatch):
-    # markers, report.json and done.json all go through _write_json
-    path = str(tmp_path / "done.json")
-    _write_json(path, {"config_hash": "old"})
-    before = open(path, "rb").read()
+    # markers, run files, cluster models and splits all go through
+    # write_json, and the corpus through atomic_write
+    model = ClusterModel(k=1, dim=2, centroids=np.zeros((1, 2)), inertia=0.0)
+    corpus = make_toy_corpus(3, topics=range(2), seed=1)
+    writers = {
+        "done.json": lambda p, h: write_json(p, {"config_hash": h}),
+        "clusters.json": lambda p, h: save_cluster_model(model, p, extra={"config_hash": h}),
+        "splits.json": lambda p, h: save_splits(
+            [DataSplit(0, tuple(corpus.ids))], p, extra={"config_hash": h}),
+        "corpus.jsonl": lambda p, h: save_corpus(corpus, p),
+    }
+    real_dumps = json.dumps
+    calls = []
 
     def dump_half(obj, fh, **kwargs):
         fh.write('{"config_hash":')
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", dump_half)
-    with pytest.raises(OSError, match="disk full"):
-        _write_json(path, {"config_hash": "new"})
-    assert open(path, "rb").read() == before
-    assert os.listdir(tmp_path) == ["done.json"]
+    def dumps_once(obj, **kwargs):  # the corpus's second line fails
+        calls.append(obj)
+        if len(calls) > 1:
+            raise OSError("disk full")
+        return real_dumps(obj, **kwargs)
+
+    for name, write in writers.items():
+        path = str(tmp_path / name)
+        write(path, "old")
+        before = open(path, "rb").read()
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(json, "dump", dump_half)
+            m.setattr(json, "dumps", dumps_once)
+            with pytest.raises(OSError, match="disk full"):
+                write(path, "new")
+        assert open(path, "rb").read() == before, name
+    assert sorted(os.listdir(tmp_path)) == sorted(writers)
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch):
