@@ -6,7 +6,8 @@ scores all k cluster actions (candidate clusters are starred), and the
 agent utters a sentence from its chosen cluster. The transcript is written
 as JSONL and echoed at the end.
 
-For a live session use the CLI instead:  chatdqn chat --config <cfg.json>
+For a live session use the CLI instead:
+    chatdqn chat --config <cfg.json> --checkpoint <run>/checkpoint.bin
 
 Run from the repo root:  python3 demos/chat_session.py
 """

@@ -84,8 +84,7 @@ tail -n +2 study.csv
 
 echo; echo "== chat: scripted lines through stdin =="
 printf 'hello there\n:quit\n' | chatdqn chat --config experiment.json \
-    --checkpoint "$CKPT" --clusters out/sentence_clusters_dim10.json \
-    --transcript transcript.jsonl
+    --checkpoint "$CKPT" --transcript transcript.jsonl
 cat transcript.jsonl
 
 echo; echo "all commands succeeded; artifacts in $ROOT"

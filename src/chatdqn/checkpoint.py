@@ -146,25 +146,13 @@ def save_agent_checkpoint(path: str, agent, config_hash: str = "") -> None:
     )
 
 
-def load_qnetwork(path: str, expected_arch: dict | None = None):
+def load_qnetwork(path: str) -> QNetwork:
     """Rebuild the online Q-network from a checkpoint's `net.*` arrays; any
     other arrays (checkpoints once also held the target network and Adam
-    moments) are ignored.
-
-    When `expected_arch` is given, any disagreeing field refuses the load —
-    evaluating under a config the checkpoint was not trained for is an error.
-    Returns (network, checkpoint).
-    """
+    moments) are ignored. The architecture is the checkpoint's own;
+    `experiment.load_policy` checks it against a config."""
     ckpt = load_checkpoint(path)
     arch = ckpt.arch
-    if expected_arch is not None:
-        bad = [
-            f"{k} {arch.get(k)!r} != {expected_arch[k]!r}"
-            for k in sorted(expected_arch)
-            if arch.get(k) != expected_arch[k]
-        ]
-        if bad:
-            raise ValueError("checkpoint architecture mismatch: " + "; ".join(bad))
     net = QNetwork(
         int(arch["embedding_dim"]),
         int(arch["hidden_dim"]),
@@ -176,4 +164,4 @@ def load_qnetwork(path: str, expected_arch: dict | None = None):
         k[len("net.") :]: v for k, v in ckpt.arrays.items() if k.startswith("net.")
     }
     net.load_params(flat)
-    return net, ckpt
+    return net

@@ -15,8 +15,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import experiment
 from .clustering import (
     dialogue_vectors,
@@ -37,12 +35,13 @@ from .embeddings import embed_corpus, load_embeddings, tokenize
 from .experiment import (
     ExperimentConfig,
     StageError,
+    dialogue_cluster_rng,
     load_experiment_config,
     reward_study,
     run_experiment,
+    sentence_cluster_rng,
     train_single,
 )
-from .repl import chat_repl
 
 __all__ = ["main"]
 
@@ -93,11 +92,9 @@ def _cmd_cluster(args) -> int:
     corpus = load_corpus(args.corpus)
     vectors, offsets = embed_corpus(corpus, load_embeddings(args.embeddings, args.dim))
     if args.what == "sentences":
-        points = vectors
-        rng = np.random.default_rng([args.seed, 20, args.dim])
+        points, rng = vectors, sentence_cluster_rng(args.seed, args.dim)
     else:
-        points = dialogue_vectors(vectors, offsets)
-        rng = np.random.default_rng([args.seed, 21])
+        points, rng = dialogue_vectors(vectors, offsets), dialogue_cluster_rng(args.seed)
     model = fit(points, args.k, rng=rng)
     save_cluster_model(model, args.out, extra={"seed": args.seed})
     print(f"{args.what}: k={model.k} dim={model.dim} inertia={model.inertia:.6f} -> {args.out}")
@@ -126,7 +123,7 @@ def _cmd_project(args) -> int:
 def _cmd_split(args) -> int:
     corpus = load_corpus(args.corpus)
     points = dialogue_vectors(*embed_corpus(corpus, load_embeddings(args.embeddings, args.dim)))
-    model = fit(points, args.k, rng=np.random.default_rng([args.seed, 21]))
+    model = fit(points, args.k, rng=dialogue_cluster_rng(args.seed))
     splits = split_corpus(corpus, model, points)
     save_splits(splits, args.out, extra={"seed": args.seed})
     if args.model_out:
@@ -187,19 +184,7 @@ def _cmd_predict_reward(args) -> int:
 
 def _cmd_chat(args) -> int:
     cfg = _load_cfg(args)
-    smodel = load_cluster_model(args.clusters)
-    net = experiment.load_policy(cfg, args.checkpoint)
-    table = load_embeddings(cfg.embeddings[net.embedding_dim], net.embedding_dim)
-    if cfg.ingest_from is not None:
-        corpus = ingest_personachat(cfg.ingest_from)
-    else:
-        corpus = load_corpus(cfg.corpus)
-    path = chat_repl(
-        net, smodel, table, corpus, args.transcript,
-        rng=np.random.default_rng([cfg.seed, 30]),
-        candidates=cfg.agent.candidates,
-        history_len=cfg.agent.history_len,
-    )
+    path = experiment.chat_checkpoint(cfg, args.checkpoint, args.transcript)
     print(f"transcript -> {path}")
     return 0
 
@@ -308,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("chat", help="interactive session against a trained policy")
     q.add_argument("--config", required=True)
     q.add_argument("--checkpoint", required=True)
-    q.add_argument("--clusters", required=True, help="sentence cluster model JSON")
     q.add_argument("--transcript", default="transcript.jsonl")
     _add_seed(q)
     q.set_defaults(func=_cmd_chat)

@@ -8,7 +8,7 @@ downstream addresses its sentences by row.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,36 +25,35 @@ _EDGE_PUNCT = '.,!?;:"()'
 
 
 class WordEmbeddingTable:
-    """Immutable token -> vector table backed by one (n, dim) float64 matrix.
+    """Immutable token -> vector table: row i of the (n, dim) float64
+    `matrix` is the vector of `tokens[i]`. The matrix is taken without a
+    copy and made read-only.
 
     Safe to share across threads after construction; lookups never mutate.
     """
 
-    def __init__(self, dim: int, entries: Mapping[str, Iterable[float]]):
-        if dim <= 0:
-            raise ValueError(f"embedding dim must be positive, got {dim}")
-        self._dim = int(dim)
-        tokens = list(entries.keys())
-        matrix = np.zeros((len(tokens), self._dim), dtype=np.float64)
-        for i, tok in enumerate(tokens):
-            if not tok:
-                raise ValueError("empty token in embedding table")
-            vec = np.asarray(list(entries[tok]), dtype=np.float64)
-            if vec.shape != (self._dim,):
-                raise ValueError(
-                    f"token {tok!r} has {vec.size} coefficients, expected {self._dim}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"token {tok!r} has non-finite coefficients")
-            matrix[i] = vec
+    def __init__(self, tokens: Sequence[str], matrix: np.ndarray):
+        tokens = tuple(tokens)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(tokens) or matrix.shape[1] < 1:
+            raise ValueError(
+                f"embedding matrix of shape {matrix.shape} for {len(tokens)} tokens; "
+                "need one row per token and dim >= 1"
+            )
+        if not all(tokens):
+            raise ValueError("empty token in embedding table")
+        self._index = {tok: i for i, tok in enumerate(tokens)}
+        if len(self._index) != len(tokens):
+            raise ValueError("duplicate token in embedding table")
+        if not np.isfinite(matrix).all():
+            raise ValueError("non-finite coefficient in embedding table")
         matrix.setflags(write=False)
         self._matrix = matrix
-        self._index = {tok: i for i, tok in enumerate(tokens)}
-        self._tokens = tuple(tokens)
+        self._tokens = tokens
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._matrix.shape[1]
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -74,16 +73,6 @@ class WordEmbeddingTable:
         """Vector for `token`, or None when out of vocabulary."""
         i = self._index.get(token)
         return None if i is None else self._matrix[i]
-
-    @classmethod
-    def _from_matrix(cls, dim: int, tokens: list[str], matrix: np.ndarray) -> "WordEmbeddingTable":
-        table = cls.__new__(cls)
-        table._dim = dim
-        matrix.setflags(write=False)
-        table._matrix = matrix
-        table._index = {tok: i for i, tok in enumerate(tokens)}
-        table._tokens = tuple(tokens)
-        return table
 
 
 def load_embeddings(path: str, dim: int) -> WordEmbeddingTable:
@@ -116,12 +105,8 @@ def load_embeddings(path: str, dim: int) -> WordEmbeddingTable:
             seen.add(token)
             tokens.append(token)
             rows.append(vec)
-    matrix = (
-        np.stack(rows).astype(np.float64)
-        if rows
-        else np.zeros((0, dim), dtype=np.float64)
-    )
-    return WordEmbeddingTable._from_matrix(dim, tokens, matrix)
+    matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
+    return WordEmbeddingTable(tokens, matrix)
 
 
 def tokenize(text: str) -> list[str]:

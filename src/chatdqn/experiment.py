@@ -2,12 +2,12 @@
 
 Stages: ingest -> embed -> cluster_sentences -> cluster_dialogues -> split
 -> train -> evaluate -> report -> compare. Each stage leaves a marker file
-carrying the config hash, as do a run's `done.json` and `evals.json`. One
-freshness rule reads all of them: a missing file means "not done", a file
-with the current hash means "done" (re-running it is a no-op, so a failed
-run resumes from its partial artifacts), and a file with another config's
-hash refuses the run. Any stage failure is re-raised as StageError naming
-the stage.
+carrying the config hash, as do a run's `done.json`, `report.json` and
+`evals.json`. One freshness read (`_fresh`) opens all of them: a missing
+file means "not done", a file with the current hash means "done" (re-running
+it is a no-op, so a failed run resumes from its partial artifacts), and a
+file with another config's hash refuses the run. Any stage failure is
+re-raised as StageError naming the stage.
 
 The dialogues come in two roles, each with its own corpus and splits file
 (`_ROLES`): "train", the config's `corpus` or `ingest_from`, and "test",
@@ -54,6 +54,7 @@ from .corpus import (
 )
 from .embeddings import embed_corpus, load_embeddings
 from .environment import baseline_bounds
+from .repl import chat_repl
 from .reward_predictor import (
     DISTORTION_FRACTIONS,
     HISTORY_LENGTHS,
@@ -72,7 +73,7 @@ __all__ = [
     "run_experiment",
     "train_single",
     "evaluate_checkpoint",
-    "load_policy",
+    "chat_checkpoint",
     "emit_learning_curve",
     "reward_study",
 ]
@@ -233,19 +234,20 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _is_done(ctx: _Context, path: str) -> bool:
-    """The one freshness rule of stage markers and run files: False when
-    `path` is missing, True when it carries the config hash. A file with
-    another config's hash refuses the run."""
+def _fresh(ctx: _Context, path: str) -> dict | None:
+    """The one freshness read of stage markers and run files: None when
+    `path` is missing, its contents when it carries the config hash. A file
+    with another config's hash refuses the run."""
     if not os.path.exists(path):
-        return False
-    found = _read_json(path).get("config_hash")
+        return None
+    payload = _read_json(path)
+    found = payload.get("config_hash")
     if found != ctx.h:
         raise ValueError(
             f"{os.path.relpath(path, ctx.out)}: output dir holds artifacts for config "
             f"{found!r}, current config is {ctx.h!r}; use a fresh --out directory"
         )
-    return True
+    return payload
 
 
 def _marker_path(out: str, stage: str) -> str:
@@ -253,7 +255,7 @@ def _marker_path(out: str, stage: str) -> str:
 
 
 def _marker_ok(ctx: _Context, stage: str) -> bool:
-    return _is_done(ctx, _marker_path(ctx.out, stage))
+    return _fresh(ctx, _marker_path(ctx.out, stage)) is not None
 
 
 def _write_marker(ctx: _Context, stage: str, **extra) -> None:
@@ -317,6 +319,18 @@ def _embedded(ctx: _Context, role: str, dim: int):
     return ctx.embedded[key]
 
 
+def sentence_cluster_rng(seed: int, dim: int) -> np.random.Generator:
+    """The k-means stream of the sentence clusters of embedding size dim:
+    the cluster_sentences stage's and `chatdqn cluster sentences`'s."""
+    return np.random.default_rng([seed, 20, dim])
+
+
+def dialogue_cluster_rng(seed: int) -> np.random.Generator:
+    """The k-means stream of the dialogue clusters: the cluster_dialogues
+    stage's, `chatdqn cluster dialogues`'s and `chatdqn split`'s."""
+    return np.random.default_rng([seed, 21])
+
+
 def _stage_cluster_sentences(ctx: _Context) -> None:
     cfg = ctx.cfg
     done = _marker_ok(ctx, "cluster_sentences")
@@ -326,10 +340,7 @@ def _stage_cluster_sentences(ctx: _Context) -> None:
             ctx.smodels[dim] = load_cluster_model(path)
             continue
         vectors, _ = _embedded(ctx, "train", dim)
-        model = fit(
-            vectors, cfg.agent.n_actions,
-            rng=np.random.default_rng([cfg.seed, 20, dim]),
-        )
+        model = fit(vectors, cfg.agent.n_actions, rng=sentence_cluster_rng(cfg.seed, dim))
         save_cluster_model(model, path, extra={"config_hash": ctx.h})
         ctx.smodels[dim] = model
         _say(ctx, f"cluster_sentences dim={dim}: k={model.k} inertia={model.inertia:.4f}")
@@ -345,7 +356,7 @@ def _stage_cluster_dialogues(ctx: _Context) -> None:
         return
     base = cfg.dims[0]
     points = dialogue_vectors(*_embedded(ctx, "train", base))
-    ctx.dmodel = fit(points, cfg.k_splits, rng=np.random.default_rng([cfg.seed, 21]))
+    ctx.dmodel = fit(points, cfg.k_splits, rng=dialogue_cluster_rng(cfg.seed))
     save_cluster_model(ctx.dmodel, path, extra={"config_hash": ctx.h, "base_dim": base})
     _write_marker(ctx, "cluster_dialogues", k=cfg.k_splits, base_dim=base)
 
@@ -373,33 +384,31 @@ def _run_dir(out: str, dim: int, split_id: int) -> str:
     return os.path.join(out, "runs", f"dim{dim}", f"split{split_id:03d}")
 
 
-def _agent_cfg(cfg: ExperimentConfig, dim: int, split_id: int) -> AgentConfig:
-    return replace(
-        cfg.agent,
-        embedding_dim=dim,
-        seed=stable_seed(cfg.seed, dim, split_id),
-    )
+def _run_file(ctx: _Context, dim: int, split_id: int, name: str) -> dict:
+    """A trained run's `report.json` or `evals.json`, through the freshness
+    read; a missing one refuses the run."""
+    path = os.path.join(_run_dir(ctx.out, dim, split_id), name)
+    payload = _fresh(ctx, path)
+    if payload is None:
+        raise FileNotFoundError(f"{os.path.relpath(path, ctx.out)}: missing run file")
+    return payload
 
 
-def _expected_arch(cfg: ExperimentConfig) -> dict:
-    """The Q-network architecture cfg trains, apart from its embedding size."""
-    return {
-        "hidden_dim": cfg.agent.hidden_dim,
-        "n_actions": cfg.agent.n_actions,
-        "dropout_rate": cfg.agent.dropout_rate,
-    }
-
-
-def load_policy(cfg: ExperimentConfig, checkpoint_path: str):
-    """The Q-network of a checkpoint, loaded once. Its embedding size comes
-    from the checkpoint and must be one of cfg.dims; any other architecture
-    field that disagrees with cfg refuses the load."""
-    net, _ = load_qnetwork(checkpoint_path, expected_arch=_expected_arch(cfg))
-    if net.embedding_dim not in cfg.dims:
-        raise ValueError(
-            f"checkpoint architecture mismatch: embedding_dim {net.embedding_dim} "
-            f"not among configured {list(cfg.dims)}"
-        )
+def load_policy(cfg: ExperimentConfig, checkpoint_path: str, dims=None):
+    """The Q-network of a checkpoint, refused unless cfg trains its
+    architecture: its embedding size one of `dims` (default cfg.dims), its
+    other fields those of cfg.agent. The one architecture check."""
+    net = load_qnetwork(checkpoint_path)
+    dims = cfg.dims if dims is None else dims
+    bad = [
+        f"{k} {getattr(net, k)!r} != {getattr(cfg.agent, k)!r}"
+        for k in ("hidden_dim", "n_actions", "dropout_rate")
+        if getattr(net, k) != getattr(cfg.agent, k)
+    ]
+    if net.embedding_dim not in dims:
+        bad.append(f"embedding_dim {net.embedding_dim} not among configured {list(dims)}")
+    if bad:
+        raise ValueError("checkpoint architecture mismatch: " + "; ".join(bad))
     return net
 
 
@@ -409,10 +418,10 @@ def _train_one(ctx: _Context, dim: int, split: DataSplit) -> str:
     cfg = ctx.cfg
     rdir = _run_dir(ctx.out, dim, split.split_id)
     done = os.path.join(rdir, "done.json")
-    if _is_done(ctx, done):
+    if _fresh(ctx, done):
         return rdir
     os.makedirs(rdir, exist_ok=True)
-    acfg = _agent_cfg(cfg, dim, split.split_id)
+    acfg = replace(cfg.agent, embedding_dim=dim, seed=stable_seed(cfg.seed, dim, split.split_id))
     report, agent_, _env = train(
         ctx.corpora["train"], acfg, ctx.smodels[dim], _embedded(ctx, "train", dim)[0],
         dialogue_ids=split.dialogue_ids, log=ctx.log,
@@ -481,19 +490,15 @@ def _stage_evaluate(ctx: _Context) -> None:
     for dim, sid in ctx.trained:
         rdir = _run_dir(ctx.out, dim, sid)
         epath = os.path.join(rdir, "evals.json")
-        if _is_done(ctx, epath):
+        if _fresh(ctx, epath):
             continue
-        acfg = _agent_cfg(cfg, dim, sid)
-        net, _ck = load_qnetwork(
-            os.path.join(rdir, "checkpoint.bin"),
-            expected_arch=dict(_expected_arch(cfg), embedding_dim=dim),
-        )
+        net = load_policy(cfg, os.path.join(rdir, "checkpoint.bin"), dims=(dim,))
         evals = dict.fromkeys(_ROLES)
         for role, splits in ctx.splits.items():
             split = next((s for s in splits if s.split_id == sid), None)
             if split is not None and len(split.dialogue_ids) >= 2:
                 evals[role] = _eval_dict(evaluate(
-                    net, ctx.corpora[role], acfg, ctx.smodels[dim],
+                    net, ctx.corpora[role], cfg.agent, ctx.smodels[dim],
                     _embedded(ctx, role, dim)[0],
                     dialogue_ids=split.dialogue_ids, seed=cfg.seed,
                 ))
@@ -529,9 +534,8 @@ def _stage_report(ctx: _Context) -> None:
         for d, sid in ctx.trained:
             if d != dim:
                 continue
-            rdir = _run_dir(ctx.out, dim, sid)
-            rep = _read_json(os.path.join(rdir, "report.json"))
-            evs = _read_json(os.path.join(rdir, "evals.json"))
+            rep = _run_file(ctx, dim, sid, "report.json")
+            evs = _run_file(ctx, dim, sid, "evals.json")
             ma = rep["moving_avg"][-1] if rep["episodes"] else None
             means = []
             for role, ids in evaluated.items():
@@ -600,8 +604,8 @@ def _stage_compare(ctx: _Context) -> None:
     splits2 = {sid for d, sid in ctx.trained if d == d2}
     samples = {role: ([], []) for role in _ROLES}  # role -> (d1 rewards, d2 rewards)
     for sid in sorted(splits1 & splits2):
-        e1 = _read_json(os.path.join(_run_dir(ctx.out, d1, sid), "evals.json"))
-        e2 = _read_json(os.path.join(_run_dir(ctx.out, d2, sid), "evals.json"))
+        e1 = _run_file(ctx, d1, sid, "evals.json")
+        e2 = _run_file(ctx, d2, sid, "evals.json")
         for role, (a, b) in samples.items():
             key = f"eval_{role}"
             if e1[key] and e2[key]:
@@ -641,7 +645,7 @@ def _make_context(cfg: ExperimentConfig, log=None) -> _Context:
     os.makedirs(cfg.out_dir, exist_ok=True)
     ctx = _Context(cfg=cfg, h=config_hash(cfg), out=cfg.out_dir, log=log)
     path = os.path.join(ctx.out, "config.resolved.json")
-    if not _is_done(ctx, path):
+    if not _fresh(ctx, path):
         write_json(path, {"config_hash": ctx.h, "config": cfg.to_dict()})
     return ctx
 
@@ -697,14 +701,32 @@ def evaluate_checkpoint(
     else:
         corpus = load_corpus(which)
         vectors, _ = embed_corpus(corpus, ctx.tables[dim])
-    acfg = replace(cfg.agent, embedding_dim=dim)
-    ev = evaluate(net, corpus, acfg, ctx.smodels[dim], vectors, seed=cfg.seed)
+    ev = evaluate(net, corpus, cfg.agent, ctx.smodels[dim], vectors, seed=cfg.seed)
     return {
         "checkpoint": checkpoint_path,
         "dialogues": which,
         "dim": dim,
         **_eval_dict(ev),
     }
+
+
+def chat_checkpoint(cfg: ExperimentConfig, checkpoint_path: str, transcript_path: str) -> str:
+    """Chat with a saved Q-network (`repl.chat_repl` on stdin and stdout)
+    over the train dialogues, the table and the sentence clusters of its
+    embedding size, running or resuming the data stages as
+    `evaluate_checkpoint` does. Returns the transcript path.
+
+    The checkpoint's architecture must agree with the current config.
+    """
+    ctx = _run_stages(cfg, None, "cluster_sentences")
+    net = load_policy(cfg, checkpoint_path)
+    dim = net.embedding_dim
+    return chat_repl(
+        net, ctx.smodels[dim], ctx.tables[dim], ctx.corpora["train"], transcript_path,
+        rng=np.random.default_rng([cfg.seed, 30]),
+        candidates=cfg.agent.candidates,
+        history_len=cfg.agent.history_len,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,12 @@ def make_toy_embeddings(
     rng = np.random.default_rng([seed, 41])
     centers = rng.normal(size=(n_topics, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    entries = {}
+    tokens, rows = [], []
     for t in range(n_topics):
         for w in range(words_per_topic):
-            vec = centers[t] + rng.normal(scale=spread, size=dim)
-            entries[_topic_word(t, w)] = vec
-    return WordEmbeddingTable(dim, entries)
+            tokens.append(_topic_word(t, w))
+            rows.append(centers[t] + rng.normal(scale=spread, size=dim))
+    return WordEmbeddingTable(tokens, np.stack(rows))
 
 
 def make_toy_corpus(

@@ -45,5 +45,4 @@ def small_world():
 
 
 def make_table(entries: dict) -> WordEmbeddingTable:
-    dim = len(next(iter(entries.values())))
-    return WordEmbeddingTable(dim=dim, entries=entries)
+    return WordEmbeddingTable(list(entries), np.array(list(entries.values()), dtype=np.float64))

@@ -168,9 +168,8 @@ def test_load_qnetwork_reads_old_layout(tmp_path):
     path = str(tmp_path / "old.ckpt")
     save_checkpoint(path, "agent", architecture_of(agent.net), arrays,
                     config_hash="cafe", meta={"adam_t": 0, "global_step": 0})
-    net, ckpt = load_qnetwork(path, expected_arch=architecture_of(agent.net))
-    assert {k.split(".", 1)[0] for k in ckpt.arrays} == {
-        "net", "target", "adam_m", "adam_v"}
+    net = load_qnetwork(path)
+    assert architecture_of(net) == architecture_of(agent.net)
     X = np.random.default_rng(1).normal(size=(3, 4, 5))
     lengths = np.array([4, 1, 3])
     np.testing.assert_array_equal(
@@ -183,7 +182,7 @@ def test_load_qnetwork_roundtrip(tmp_path):
     path = str(tmp_path / "agent.ckpt")
     agent = _small_agent(seed=9)
     save_agent_checkpoint(path, agent)
-    net, ckpt = load_qnetwork(path)
+    net = load_qnetwork(path)
     assert architecture_of(net) == architecture_of(agent.net)
     for k, v in agent.net.params().items():
         np.testing.assert_array_equal(net.params()[k], v)
@@ -195,28 +194,6 @@ def test_load_qnetwork_roundtrip(tmp_path):
         net.forward(X, lengths, train_mode=False),
         agent.net.forward(X, lengths, train_mode=False),
     )
-
-
-def test_load_qnetwork_arch_match_accepted(tmp_path):
-    path = str(tmp_path / "a.ckpt")
-    agent = _small_agent()
-    save_agent_checkpoint(path, agent)
-    net, _ = load_qnetwork(path, expected_arch=architecture_of(agent.net))
-    assert net.n_actions == agent.net.n_actions
-
-
-def test_load_qnetwork_arch_mismatch_refused(tmp_path):
-    path = str(tmp_path / "a.ckpt")
-    agent = _small_agent()
-    save_agent_checkpoint(path, agent)
-    want = architecture_of(agent.net)
-    want["hidden_dim"] = 999
-    with pytest.raises(ValueError, match="architecture mismatch"):
-        load_qnetwork(path, expected_arch=want)
-    want = architecture_of(agent.net)
-    want["n_actions"] = 2
-    with pytest.raises(ValueError, match="architecture mismatch"):
-        load_qnetwork(path, expected_arch=want)
 
 
 def test_missing_file_raises(tmp_path):

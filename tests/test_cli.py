@@ -5,15 +5,22 @@ import csv
 import io
 import json
 import os
+import pathlib
+import re
 
+import numpy as np
 import pytest
 
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings, save_embeddings_file
 from chatdqn.checkpoint import load_checkpoint, save_checkpoint
-from chatdqn.cli import main
-from chatdqn.corpus import save_corpus
+from chatdqn.cli import build_parser, main
+from chatdqn.clustering import assign_many, load_cluster_model
+from chatdqn.corpus import load_splits, save_corpus
+from chatdqn.embeddings import embed_texts, load_embeddings
 from chatdqn.experiment import ExperimentConfig, save_experiment_config
 from chatdqn.reward_predictor import PredictorConfig
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 PARLAI_SAMPLE = """\
 1 your persona: i like pie.
@@ -146,11 +153,10 @@ def test_predict_reward_study(cli_world, capsys):
 def test_chat_scripted_session(cli_world, tmp_path, monkeypatch, capsys):
     root, cpath, out = cli_world
     ckpt = os.path.join(_first_run_dir(out), "checkpoint.bin")
-    clusters = os.path.join(out, "sentence_clusters_dim6.json")
     transcript = str(tmp_path / "t.jsonl")
     monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n\n:quit\n"))
     rc = main(["chat", "--config", cpath, "--checkpoint", ckpt,
-               "--clusters", clusters, "--transcript", transcript])
+               "--transcript", transcript])
     assert rc == 0
     outp = capsys.readouterr().out
     assert "q: " in outp and "transcript ->" in outp
@@ -158,16 +164,55 @@ def test_chat_scripted_session(cli_world, tmp_path, monkeypatch, capsys):
     assert [l["speaker"] for l in lines] == ["env", "agent"]
 
 
-def test_chat_cluster_count_mismatch(cli_world, tmp_path, monkeypatch, capsys):
+def test_chat_utterances_come_from_the_runs_sentence_clusters(cli_world, tmp_path,
+                                                             monkeypatch):
+    # the actions are the run's own sentence clusters, not a file named on
+    # the command line, so another fit of the same k cannot relabel them
     root, cpath, out = cli_world
     ckpt = os.path.join(_first_run_dir(out), "checkpoint.bin")
-    clusters = os.path.join(out, "dialogue_clusters.json")  # k=2, not 4
+    transcript = str(tmp_path / "t.jsonl")
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "hello there\nt00w01 t00w02\nt01w03\nt02w04 t03w05\n:quit\n"))
+    assert main(["chat", "--config", cpath, "--checkpoint", ckpt,
+                 "--transcript", transcript]) == 0
+    agent = [l for l in map(json.loads, open(transcript)) if l["speaker"] == "agent"]
+    assert len(agent) == 4
+    model = load_cluster_model(os.path.join(out, "sentence_clusters_dim6.json"))
+    vectors = embed_texts([l["text"] for l in agent],
+                          load_embeddings(str(root / "emb6.txt"), 6))
+    assert assign_many(model, vectors).tolist() == [l["action_id"] for l in agent]
+
+
+def test_chat_on_a_fresh_out_dir_runs_the_data_stages(cli_world, tmp_path, monkeypatch):
+    root, cpath, out = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d["out_dir"] = str(tmp_path / "fresh")
+    fresh_cfg = root / "exp_fresh_chat.json"
+    fresh_cfg.write_text(json.dumps(d))
     monkeypatch.setattr("sys.stdin", io.StringIO(":quit\n"))
-    rc = main(["chat", "--config", cpath, "--checkpoint", ckpt,
-               "--clusters", clusters,
-               "--transcript", str(tmp_path / "t.jsonl")])
-    assert rc == 1
-    assert "cluster model" in capsys.readouterr().err
+    assert main(["chat", "--config", str(fresh_cfg),
+                 "--checkpoint", os.path.join(_first_run_dir(out), "checkpoint.bin"),
+                 "--transcript", str(tmp_path / "t.jsonl")]) == 0
+    written = sorted(os.listdir(d["out_dir"]))
+    assert written == sorted([
+        "config.resolved.json", "corpus.jsonl", "test_corpus.jsonl",
+        "ingest.done.json", "embed.done.json", "cluster_sentences.done.json",
+        "sentence_clusters_dim6.json",
+    ])
+    for name in ("corpus.jsonl", "sentence_clusters_dim6.json"):
+        with open(os.path.join(out, name), "rb") as a, \
+                open(os.path.join(d["out_dir"], name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_chat_has_no_clusters_flag(cli_world, tmp_path):
+    _, cpath, out = cli_world
+    with pytest.raises(SystemExit) as e:
+        main(["chat", "--config", cpath,
+              "--checkpoint", os.path.join(_first_run_dir(out), "checkpoint.bin"),
+              "--clusters", os.path.join(out, "sentence_clusters_dim6.json")])
+    assert e.value.code == 2
 
 
 def test_chat_non_finite_q_values_is_error(cli_world, tmp_path, monkeypatch, capsys):
@@ -178,7 +223,6 @@ def test_chat_non_finite_q_values_is_error(cli_world, tmp_path, monkeypatch, cap
     save_checkpoint(ckpt, ck.kind, ck.arch, ck.arrays, ck.config_hash, ck.meta)
     monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n:quit\n"))
     rc = main(["chat", "--config", cpath, "--checkpoint", ckpt,
-               "--clusters", os.path.join(out, "sentence_clusters_dim6.json"),
                "--transcript", str(tmp_path / "t.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -270,6 +314,31 @@ def test_project_centroids_missing_key_is_error(cli_world, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'centroids'" in err
+
+
+def test_data_utilities_reproduce_the_pipelines_models(cli_world, tmp_path):
+    # `cluster` and `split` draw from the seed streams of the pipeline's
+    # stages, so with the run's seed they rewrite the run's models and splits
+    root, cpath, out = cli_world
+    seed = json.load(open(cpath))["seed"]
+    data = ["--corpus", str(root / "corpus.jsonl"),
+            "--embeddings", str(root / "emb6.txt"), "--dim", "6", "--seed", str(seed)]
+    for what, k, run_file in (("sentences", "4", "sentence_clusters_dim6.json"),
+                              ("dialogues", "2", "dialogue_clusters.json")):
+        path = str(tmp_path / f"{what}.json")
+        assert main(["cluster", what, "--k", k, *data, "--out", path]) == 0
+        np.testing.assert_array_equal(load_cluster_model(path).centroids,
+                                      load_cluster_model(os.path.join(out, run_file)).centroids)
+    path = str(tmp_path / "splits.json")
+    assert main(["split", "--k", "2", *data, "--out", path]) == 0
+    assert load_splits(path) == load_splits(os.path.join(out, "splits.json"))
+
+
+def test_readme_cli_table_lists_every_command():
+    # the usage line names the subcommands: "chatdqn [-h] {ingest,embed,...} ..."
+    commands = set(re.search(r"\{([\w,-]+)\}", build_parser().format_usage())[1].split(","))
+    documented = set(re.findall(r"^\| `chatdqn ([\w-]+)` \|", README.read_text(), re.M))
+    assert documented == commands
 
 
 def test_split_command(cli_world, tmp_path, capsys):

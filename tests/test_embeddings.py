@@ -5,7 +5,13 @@ import pytest
 
 from chatdqn.clustering import ClusterModel
 from chatdqn.corpus import Corpus, Dialogue, Turn
-from chatdqn.embeddings import embed_corpus, embed_texts, load_embeddings, tokenize
+from chatdqn.embeddings import (
+    WordEmbeddingTable,
+    embed_corpus,
+    embed_texts,
+    load_embeddings,
+    tokenize,
+)
 from chatdqn.environment import DialogueEnv
 
 from conftest import make_table
@@ -156,7 +162,25 @@ def test_history_rows_match_embed_sentence():
 
 
 # ---------------------------------------------------------------------------
-# load_embeddings
+# table construction and load_embeddings
+
+
+@pytest.mark.parametrize("tokens, rows, why", [
+    (["a", "b"], [[1.0, 2.0]], "one row per token"),
+    (["a"], [[]], "dim >= 1"),
+    (["a", ""], [[1.0], [2.0]], "empty token"),
+    (["a", "a"], [[1.0], [2.0]], "duplicate token"),
+    (["a", "b"], [[1.0], [np.inf]], "non-finite"),
+], ids=["rows", "dim", "empty", "duplicate", "non-finite"])
+def test_table_refuses_malformed_input(tokens, rows, why):
+    with pytest.raises(ValueError, match=why):
+        WordEmbeddingTable(tokens, np.array(rows))
+
+
+def test_table_matrix_is_read_only():
+    table = make_table({"a": [1.0, 0.0]})
+    with pytest.raises(ValueError):
+        table.matrix[0, 0] = 2.0
 
 
 def test_load_embeddings_roundtrip(tmp_path):
@@ -180,4 +204,15 @@ def test_load_embeddings_non_numeric(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("hi 1.0 x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
+        load_embeddings(str(p), dim=2)
+
+
+@pytest.mark.parametrize("text, why", [
+    ("hi 1.0 2.0\n\nhi 3.0 4.0\n", "duplicate token at line 3"),
+    ("hi 1.0 nan\n", "non-finite coefficient at line 1"),
+])
+def test_load_embeddings_names_line_of_bad_entry(tmp_path, text, why):
+    p = tmp_path / "emb.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=why):
         load_embeddings(str(p), dim=2)

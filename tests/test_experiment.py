@@ -5,6 +5,7 @@ import csv
 import inspect
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from chatdqn import (
     make_toy_embeddings,
     save_embeddings_file,
 )
-from chatdqn.agent import moving_average
-from chatdqn.checkpoint import write_json
+from chatdqn.agent import ChatDQNAgent, moving_average
+from chatdqn.checkpoint import save_agent_checkpoint, write_json
 from chatdqn.clustering import ClusterModel, save_cluster_model
 from chatdqn.corpus import DataSplit, load_corpus, save_corpus, save_splits
 from chatdqn.experiment import (
@@ -30,6 +31,7 @@ from chatdqn.experiment import (
     emit_learning_curve,
     evaluate_checkpoint,
     load_experiment_config,
+    load_policy,
     load_splits,
     run_experiment,
     save_experiment_config,
@@ -47,19 +49,20 @@ def _tiny_agent_cfg():
 
 
 def _write_world(root):
-    table = make_toy_embeddings(4, dim=6, seed=31)
-    save_embeddings_file(table, str(root / "emb6.txt"))
+    for dim in (6, 8):
+        save_embeddings_file(make_toy_embeddings(4, dim=dim, seed=31),
+                             str(root / f"emb{dim}.txt"))
     save_corpus(make_toy_corpus(16, topics=range(4), seed=31, id_prefix="tr"),
                 str(root / "corpus.jsonl"))
     save_corpus(make_toy_corpus(6, topics=range(4), seed=32, id_prefix="te"),
                 str(root / "test.jsonl"))
 
 
-def _make_cfg(root, out_name="run", seed=5):
+def _make_cfg(root, out_name="run", seed=5, dims=(6,)):
     return ExperimentConfig(
         corpus=str(root / "corpus.jsonl"),
         test_corpus=str(root / "test.jsonl"),
-        embeddings={6: str(root / "emb6.txt")},
+        embeddings={dim: str(root / f"emb{dim}.txt") for dim in dims},
         out_dir=str(root / out_name),
         k_splits=2,
         agent=_tiny_agent_cfg(),
@@ -450,12 +453,16 @@ _RUN0 = os.path.join("runs", "dim6", "split000")
     (os.path.join(_RUN0, "done.json"), None, "train"),
     (os.path.join(_RUN0, "evals.json"), "evaluate", "evaluate"),
     ("cluster_dialogues.done.json", None, "cluster_dialogues"),
+    (os.path.join(_RUN0, "evals.json"), "report", "report"),
+    (os.path.join(_RUN0, "report.json"), "report", "report"),
+    (os.path.join(_RUN0, "evals.json"), "compare", "compare"),
 ])
 def test_file_with_foreign_hash_refuses(tmp_path, rel, stale_marker, stage):
     # a run file is read by the rule of the stage markers: another config's
-    # hash refuses the run instead of being silently trained over
+    # hash refuses the run instead of being silently trained over, or
+    # reported and compared; two sizes, so that compare reads evals.json
     _write_world(tmp_path)
-    cfg = _make_cfg(tmp_path, out_name="foreign")
+    cfg = _make_cfg(tmp_path, out_name="foreign", dims=(6, 8))
     out = run_experiment(cfg)
     _set_hash(os.path.join(out, rel), "feedfacefeedface")
     if stale_marker:  # so the stage looks at its run files again
@@ -516,6 +523,47 @@ def test_train_single_and_evaluate_checkpoint(tmp_path):
         train_single(cfg, 300, 0)
     with pytest.raises(ValueError, match="no split"):
         train_single(cfg, 6, 99)
+
+
+def _policy_checkpoint(path, agent_cfg, **arch):
+    save_agent_checkpoint(str(path), ChatDQNAgent(replace(agent_cfg, **arch)))
+    return str(path)
+
+
+def test_load_policy_arch_match_accepted(tmp_path):
+    cfg = _make_cfg(tmp_path, dims=(6, 8))
+    for dim in (6, 8):
+        net = load_policy(cfg, _policy_checkpoint(tmp_path / "a.ckpt", cfg.agent,
+                                                  embedding_dim=dim))
+        assert (net.embedding_dim, net.hidden_dim) == (dim, cfg.agent.hidden_dim)
+    net = load_policy(cfg, str(tmp_path / "a.ckpt"), dims=(8,))
+    assert net.embedding_dim == 8
+
+
+@pytest.mark.parametrize("field, value, why", [
+    ("hidden_dim", 9, "hidden_dim 9 != 8"),
+    ("n_actions", 5, "n_actions 5 != 4"),
+    ("dropout_rate", 0.5, "dropout_rate 0.5 != 0.2"),
+    ("embedding_dim", 7, "embedding_dim 7 not among configured [6, 8]"),
+], ids=["hidden_dim", "n_actions", "dropout_rate", "embedding_dim"])
+def test_load_policy_arch_mismatch_refused(tmp_path, field, value, why):
+    cfg = _make_cfg(tmp_path, dims=(6, 8))
+    path = _policy_checkpoint(tmp_path / "a.ckpt", cfg.agent, **{field: value})
+    with pytest.raises(ValueError, match=f"architecture mismatch: {re.escape(why)}$"):
+        load_policy(cfg, path)
+
+
+def test_evaluate_stage_refuses_checkpoint_of_another_size(tmp_path):
+    # both sizes are configured, but a run evaluates only a checkpoint of its own
+    _write_world(tmp_path)
+    cfg = _make_cfg(tmp_path, out_name="swap", dims=(6, 8))
+    out = run_experiment(cfg, until="train")
+    run8 = os.path.join(out, "runs", "dim8", "split000", "checkpoint.bin")
+    with open(run8, "rb") as src, open(os.path.join(out, _RUN0, "checkpoint.bin"), "wb") as dst:
+        dst.write(src.read())
+    with pytest.raises(StageError, match=r"embedding_dim 8 not among configured \[6\]") as err:
+        run_experiment(cfg)
+    assert err.value.stage == "evaluate"
 
 
 def test_evaluate_checkpoint_arch_mismatch(tmp_path):
