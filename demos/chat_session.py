@@ -51,7 +51,7 @@ def main():
     path = os.path.join(tempfile.mkdtemp(prefix="chatdqn-demo-"), "transcript.jsonl")
     print()
     chat_repl(
-        agent.net, model, table, corpus, path,
+        agent.net, model, table, corpus, vectors, path,
         input_fn=lambda prompt: print(prompt + (nxt := next(lines))) or nxt,
         rng=np.random.default_rng(5),
     )

@@ -234,6 +234,10 @@ class ChatDQNAgent:
     """Owns the online/target networks, optimizer, replay memory, and the
     named rng streams that make runs reproducible.
 
+    The online network computes in float32. The target network is a float64
+    copy of it, and `sync_target` upcasts the online weights into it, which
+    is exact: TD targets and the replay target cache stay float64.
+
     `target_rows_computed` and `target_rows_cached` count the TD targets of
     sampled slots that learn steps computed and that they read from the
     replay cache.
@@ -245,8 +249,8 @@ class ChatDQNAgent:
             cfg.embedding_dim, cfg.hidden_dim, cfg.n_actions,
             dropout_rate=cfg.dropout_rate,
             rng=np.random.default_rng([cfg.seed, 0]),
-        )
-        self.target = self.net.clone()
+        ).astype(np.float32)
+        self.target = self.net.astype(np.float64)
         self.optimizer = Adam(self.net.params(), lr=cfg.learning_rate)
         self.memory = ReplayMemory(cfg.memory_capacity)
         self.rng_explore = np.random.default_rng([cfg.seed, 3])

@@ -4,7 +4,10 @@ Layout: 4-byte magic, 4-byte big-endian header length, canonical JSON
 header, then the raw array payload — every tensor as little-endian float64
 bytes in C order, concatenated in the header's array order (sorted by
 name). Canonical JSON plus raw float64 bytes makes save/load round trips
-and rerun-determinism bit-exact.
+and rerun-determinism bit-exact. A float32 network's weights are stored
+exactly as float64 (the upcast loses nothing), and `load_qnetwork` casts
+them back to the float32 the pipeline's networks compute in, which is
+exact too: loading and saving again reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -149,7 +152,8 @@ def save_agent_checkpoint(path: str, agent, config_hash: str = "") -> None:
 def load_qnetwork(path: str) -> QNetwork:
     """Rebuild the online Q-network from a checkpoint's `net.*` arrays; any
     other arrays (checkpoints once also held the target network and Adam
-    moments) are ignored. The architecture is the checkpoint's own;
+    moments) are ignored. The network computes in float32, as the agent's
+    online network does. The architecture is the checkpoint's own;
     `experiment.load_policy` checks it against a config."""
     ckpt = load_checkpoint(path)
     arch = ckpt.arch
@@ -159,7 +163,7 @@ def load_qnetwork(path: str) -> QNetwork:
         int(arch["n_actions"]),
         dropout_rate=float(arch.get("dropout_rate", 0.0)),
         rng=np.random.default_rng(0),
-    )
+    ).astype(np.float32)
     flat = {
         k[len("net.") :]: v for k, v in ckpt.arrays.items() if k.startswith("net.")
     }

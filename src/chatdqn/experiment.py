@@ -712,9 +712,10 @@ def evaluate_checkpoint(
 
 def chat_checkpoint(cfg: ExperimentConfig, checkpoint_path: str, transcript_path: str) -> str:
     """Chat with a saved Q-network (`repl.chat_repl` on stdin and stdout)
-    over the train dialogues, the table and the sentence clusters of its
-    embedding size, running or resuming the data stages as
-    `evaluate_checkpoint` does. Returns the transcript path.
+    over the train dialogues, their sentence vectors, the table and the
+    sentence clusters of its embedding size, running or resuming the data
+    stages as `evaluate_checkpoint` does; the REPL embeds only the user's
+    lines. Returns the transcript path.
 
     The checkpoint's architecture must agree with the current config.
     """
@@ -722,7 +723,8 @@ def chat_checkpoint(cfg: ExperimentConfig, checkpoint_path: str, transcript_path
     net = load_policy(cfg, checkpoint_path)
     dim = net.embedding_dim
     return chat_repl(
-        net, ctx.smodels[dim], ctx.tables[dim], ctx.corpora["train"], transcript_path,
+        net, ctx.smodels[dim], ctx.tables[dim], ctx.corpora["train"],
+        _embedded(ctx, "train", dim)[0], transcript_path,
         rng=np.random.default_rng([cfg.seed, 30]),
         candidates=cfg.agent.candidates,
         history_len=cfg.agent.history_len,

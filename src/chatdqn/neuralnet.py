@@ -3,8 +3,16 @@
 Provides exactly what the Q-network and the reward regressor need: batched
 GRU layers over post-padded sequences, inverted dropout, batch
 normalization, a dense head, mean-squared losses, and an Adam optimizer.
-Everything runs in float64 and is driven by explicit, seeded
-`numpy.random.Generator` streams.
+Everything is driven by explicit, seeded `numpy.random.Generator` streams.
+
+A network computes in the dtype of its own parameters: its layers allocate
+their buffers in that dtype and cast their input batch to it once, and
+`sigmoid`, `dropout` and batch norm follow the dtype of their input.
+Parameters are initialized in float64 from the rng streams;
+`_Network.astype` makes a copy in another dtype. The pipeline trains
+float32 networks (agent.ChatDQNAgent, reward_predictor.train_predictor)
+and keeps its target network in float64; the gradient checks build
+float64 networks.
 
 Sequence batches are (B, T, D) with a per-row `lengths` vector; steps at or
 past a row's length are frozen (the hidden state is carried through
@@ -61,6 +69,12 @@ __all__ = [
 ]
 
 
+def _floating(x) -> np.ndarray:
+    """x as an array of its own float dtype, or float64 if it has none."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 def _width(lengths: np.ndarray) -> int:
     """Time steps of a padded batch: max(1, longest row)."""
     return max(1, int(lengths.max(initial=0)))
@@ -83,9 +97,10 @@ def pad_batch(vectors: np.ndarray, rows: Sequence[Sequence[int]]):
 
 
 def sigmoid(x):
-    """Logistic function as 0.5 * (1 + tanh(x / 2)): no exp, so saturated
-    gates cannot overflow and need no branch."""
-    out = np.array(x, dtype=np.float64)  # a copy; 0-d for a scalar
+    """Logistic function as 0.5 * (1 + tanh(x / 2)), in the dtype of x
+    (float64 for non-float input): no exp, so saturated gates cannot
+    overflow and need no branch."""
+    out = np.array(_floating(x))  # a copy; 0-d for a scalar
     out *= 0.5
     np.tanh(out, out=out)
     out += 1.0
@@ -122,25 +137,26 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
 
     X: (B, T, D); lengths: (B,) ints in [0, T]. Returns (H, cache) with
     H[:, t] the hidden state after step t (frozen once t >= lengths[b]).
+    The layer computes in the dtype of p's weights and casts X to it once.
     The cache holds the gate buffer that `gru_backward` overwrites, so it
     serves exactly one backward pass.
     """
     B, T, D = X.shape
     hd = p["W_z"].shape[0]
     _check_gru_shapes(p, D, hd)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    lengths = np.asarray(lengths)
     W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]))  # (3h, D)
     U_zr = np.concatenate((p["U_z"], p["U_r"]))         # (2h, h)
     U_h = p["U_h"]
+    X = np.ascontiguousarray(X, dtype=W.dtype)
+    lengths = np.asarray(lengths)
     # G[:, t] = [a_z a_r a_h] input pre-activations, then [z r h~]
-    G = np.empty((B, T, 3 * hd), dtype=np.float64)
+    G = np.empty((B, T, 3 * hd), dtype=W.dtype)
     np.matmul(X.reshape(B * T, D), W.T, out=G.reshape(B * T, 3 * hd))
     G += np.concatenate((p["b_z"], p["b_r"], p["b_h"]))
-    H = np.empty((B, T, hd), dtype=np.float64)
+    H = np.empty((B, T, hd), dtype=W.dtype)
     active = np.arange(T)[None, :] < lengths[:, None]
     all_active = int(lengths.min()) if B else T  # steps below this skip the mask
-    h = np.zeros((B, hd), dtype=np.float64)
+    h = np.zeros((B, hd), dtype=W.dtype)
     for t in range(T):
         g = G[:, t]
         a_zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
@@ -180,7 +196,7 @@ def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
     hd = U_h.shape[0]
     dU_zr = np.zeros_like(U_zr)
     dU_h = np.zeros_like(U_h)
-    gh = np.zeros((B, hd), dtype=np.float64)
+    gh = np.zeros((B, hd), dtype=G.dtype)
     for t in range(T - 1, -1, -1):
         gh += dH[:, t]
         g = G[:, t]
@@ -221,17 +237,18 @@ def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
 
 def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = None):
     """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate). Returns (y, mask), mask being the scaled keep mask that the
-    backward pass multiplies by, or None for the identity (eval mode or
-    rate 0)."""
-    x = np.asarray(x, dtype=np.float64)
+    1/(1-rate). Returns (y, mask) in the dtype of x, mask being the scaled
+    keep mask that the backward pass multiplies by, or None for the identity
+    (eval mode or rate 0). The mask is drawn in float64 and then cast, so
+    the rng stream does not depend on the dtype."""
+    x = _floating(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must satisfy 0 <= rate < 1, got {rate}")
     if not train_mode or rate == 0.0:
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    scaled_mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    scaled_mask = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.dtype, copy=False)
     return x * scaled_mask, scaled_mask
 
 
@@ -242,11 +259,12 @@ def batchnorm_forward(
     """Feature-wise batch normalization on a (B, F) batch.
 
     Train mode normalizes by biased batch statistics and folds them into the
-    running stats in place; eval mode uses the running stats.
+    running stats in place; eval mode uses the running stats. The result
+    follows the dtype of x, gamma and the running stats.
     Returns (y, cache): the cache feeds `batchnorm_backward` in train mode
     and is None in eval mode.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _floating(x)
     if x.ndim != 2:
         raise ValueError(f"batchnorm expects a (batch, features) array, got {x.shape}")
     if train_mode:
@@ -321,11 +339,24 @@ def _raise_on_bad_grads(grads: dict) -> None:
 
 
 class _Network:
-    """Parameter loading shared by the two networks, whose `params()` returns
-    flat name -> array views."""
+    """Parameter loading and dtype casts shared by the two networks, whose
+    `params()` returns flat name -> array views."""
+
+    def astype(self, dtype) -> "_Network":
+        """A copy with every parameter and buffer (the batch-norm running
+        statistics included) cast to dtype; the network then computes in
+        dtype."""
+        other = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, dict):
+                setattr(other, name, {k: v.astype(dtype) for k, v in value.items()})
+            elif isinstance(value, np.ndarray):
+                setattr(other, name, value.astype(dtype))
+        return other
 
     def load_params(self, flat: dict) -> None:
-        """Copy `flat` into the parameters; names and shapes must match."""
+        """Copy `flat` into the parameters, cast to their dtype; names and
+        shapes must match."""
         own = self.params()
         if set(own) != set(flat):
             raise ValueError("parameter name mismatch")
@@ -362,13 +393,6 @@ class QNetwork(_Network):
         out.update(_flat("gru2", self.gru2))
         out.update(_flat("head", self.head))
         return out
-
-    def clone(self) -> "QNetwork":
-        other = copy.copy(self)
-        other.gru1 = {k: v.copy() for k, v in self.gru1.items()}
-        other.gru2 = {k: v.copy() for k, v in self.gru2.items()}
-        other.head = {k: v.copy() for k, v in self.head.items()}
-        return other
 
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False,
                        rng: np.random.Generator | None = None):
@@ -415,7 +439,8 @@ def qnet_loss_and_grads(net: QNetwork, X, lengths, actions, targets,
     """Mean squared error between targets and the chosen actions' Q-values.
 
     The gradient flows only through each sample's chosen action; the target
-    vector is a constant.
+    vector is a constant. The residual is taken in float64; dQ is in the
+    network's dtype.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if not np.all(np.isfinite(targets)):
@@ -523,10 +548,11 @@ class RewardRegressor(_Network):
 
 def regressor_loss_and_grads(model: RewardRegressor, X, lengths, targets,
                              train_mode: bool = True):
-    """Mean squared error of the scalar predictions against raw targets."""
+    """Mean squared error of the scalar predictions against raw targets.
+    The residual is taken in float64; dpreds is in the network's dtype."""
     targets = np.asarray(targets, dtype=np.float64)
     preds, cache = model.forward_cached(X, lengths, train_mode)
     diff = preds - targets
     loss = float(np.mean(diff**2))
-    dpreds = 2.0 * diff / diff.shape[0]
+    dpreds = (2.0 * diff / diff.shape[0]).astype(preds.dtype)
     return loss, model.backward(cache, dpreds)

@@ -17,7 +17,7 @@ import numpy as np
 from .agent import select_action
 from .clustering import ClusterModel, assign_many
 from .corpus import Corpus, sample_distractors
-from .embeddings import WordEmbeddingTable, embed_corpus, embed_texts
+from .embeddings import WordEmbeddingTable, embed_texts
 from .neuralnet import QNetwork
 
 __all__ = ["chat_repl"]
@@ -37,6 +37,7 @@ def chat_repl(
     sentence_model: ClusterModel,
     table: WordEmbeddingTable,
     corpus: Corpus,
+    vectors: np.ndarray,
     transcript_path: str,
     input_fn=input,
     output_fn=print,
@@ -46,9 +47,11 @@ def chat_repl(
 ) -> str:
     """Run the session until `:quit` (or EOF); returns the transcript path.
 
-    input_fn/output_fn are injectable so the loop is scriptable in tests.
-    Empty input just re-prompts; unknown words fall back to the zero-vector
-    rule inside the embedding layer, so nothing the user types can fail.
+    `vectors` holds the corpus's sentence vectors (`embed_corpus` under
+    `table`); the table only embeds the user's lines. input_fn/output_fn
+    are injectable so the loop is scriptable in tests. Empty input just
+    re-prompts; unknown words fall back to the zero-vector rule inside the
+    embedding layer, so nothing the user types can fail.
     """
     if net.n_actions != sentence_model.k:
         raise ValueError(
@@ -58,7 +61,11 @@ def chat_repl(
     sentences = corpus._turns[1]
     if len(sentences) < candidates:
         raise ValueError(f"corpus has {len(sentences)} sentences; need >= {candidates}")
-    vectors, _ = embed_corpus(corpus, table)
+    if vectors.shape != (len(sentences), sentence_model.dim):
+        raise ValueError(
+            f"sentence vectors of shape {vectors.shape} for {len(sentences)} "
+            f"sentences and cluster model dim {sentence_model.dim}"
+        )
     actions = assign_many(sentence_model, vectors)
 
     history: list[np.ndarray] = []  # one sentence vector per turn

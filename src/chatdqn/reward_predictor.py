@@ -101,7 +101,8 @@ def train_predictor(
     X: np.ndarray, lengths: np.ndarray, y: np.ndarray, cfg: PredictorConfig
 ) -> RewardRegressor:
     """Minibatch MSE training with Adam on the padded histories X (with their
-    lengths) against the reward labels y; fully seeded.
+    lengths) against the reward labels y; fully seeded. The regressor
+    computes in float32.
 
     Train-mode batch norm needs >= 2 rows, so a batch of size 1 (singleton
     dataset, or a trailing remainder of 1) is duplicated: the mean gradient
@@ -111,7 +112,8 @@ def train_predictor(
     if n == 0:
         raise ValueError("empty dataset")
     dim = X.shape[2]
-    model = RewardRegressor(dim, cfg.hidden_dim, rng=np.random.default_rng([cfg.seed, 10]))
+    model = RewardRegressor(
+        dim, cfg.hidden_dim, rng=np.random.default_rng([cfg.seed, 10])).astype(np.float32)
     optimizer = Adam(model.params(), lr=cfg.learning_rate)
     order_rng = np.random.default_rng([cfg.seed, 11])
     for _ in range(cfg.epochs):

@@ -17,7 +17,7 @@ from chatdqn.agent import (
 )
 from chatdqn.embeddings import embed_corpus
 from chatdqn.environment import DialogueEnv, baseline_bounds
-from chatdqn.neuralnet import QNetwork
+from chatdqn.neuralnet import Adam, QNetwork
 
 from conftest import topic_cluster_model
 
@@ -370,6 +370,44 @@ def test_target_net_frozen_between_syncs(train_world):
     agent.sync_target()
     for name, p in agent.target.params().items():
         assert np.array_equal(p, agent.net.params()[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_learn_step_stays_in_the_networks_dtype(train_world, dtype):
+    # the agent builds a float32 online network and a float64 target network;
+    # a learn step keeps every parameter, gradient and Adam moment in the
+    # online network's dtype, and the TD targets and their cache in float64
+    table, corpus, model, vectors = train_world
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
+        burn_in=10, learn_steps=20, batch_size=4, memory_capacity=50,
+        target_sync_period=10**6, test_steps=10, seed=12,
+    )
+    _, agent, env = train(corpus, cfg, model, vectors)
+    assert {p.dtype for p in agent.net.params().values()} == {np.dtype(np.float32)}
+    if dtype is not np.float32:
+        agent.net = agent.net.astype(dtype)
+        agent.optimizer = Adam(agent.net.params(), lr=cfg.learning_rate)
+    agent.sync_target()  # every target stale: the step runs the target network
+    seen = {}
+    step = agent.optimizer.step
+
+    def recording_step(params, grads):
+        seen.update(grads)
+        step(params, grads)
+
+    agent.optimizer.step = recording_step
+    slots = agent.memory.sample(cfg.batch_size, agent.rng_replay)
+    assert np.isfinite(agent.train_step(slots, env.batch_states))
+    assert set(seen) == set(agent.net.params())
+    for name, p in agent.net.params().items():
+        assert p.dtype == dtype, name
+        assert seen[name].dtype == dtype, name
+        assert agent.optimizer.m[name].dtype == dtype, name
+        assert agent.optimizer.v[name].dtype == dtype, name
+    assert {p.dtype for p in agent.target.params().values()} == {np.dtype(np.float64)}
+    assert agent.memory.targets.dtype == np.float64
+    assert not np.isnan(agent.memory.targets[slots]).any()
 
 
 def test_single_transition_overfit(train_world):

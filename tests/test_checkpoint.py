@@ -196,6 +196,28 @@ def test_load_qnetwork_roundtrip(tmp_path):
     )
 
 
+def test_pipeline_checkpoint_reloads_bit_equal_and_rewrites_byte_for_byte(tmp_path):
+    # the agent's online network is float32; its checkpoint stores the
+    # weights exactly as float64, loads back as a float32 network with the
+    # same bits, and saving the loaded network reproduces the file
+    agent = _small_agent(seed=7)
+    rng = np.random.default_rng(2)
+    agent.net.load_params({k: v + rng.normal(size=v.shape)
+                           for k, v in agent.net.params().items()})
+    path, again = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+    save_agent_checkpoint(path, agent, config_hash="cafe")
+    net = load_qnetwork(path)
+    assert set(net.params()) == set(agent.net.params())
+    for k, v in agent.net.params().items():
+        assert v.dtype == np.float32, k
+        assert net.params()[k].dtype == np.float32, k
+        assert net.params()[k].tobytes() == v.tobytes(), k
+    agent.net = net
+    save_agent_checkpoint(again, agent, config_hash="cafe")
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(str(tmp_path / "nope.ckpt"))

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings, save_embeddings_file
-from chatdqn.checkpoint import load_checkpoint, save_checkpoint
+from chatdqn.checkpoint import load_checkpoint, load_qnetwork, save_checkpoint
 from chatdqn.cli import build_parser, main
 from chatdqn.clustering import assign_many, load_cluster_model
-from chatdqn.corpus import load_splits, save_corpus
-from chatdqn.embeddings import embed_texts, load_embeddings
-from chatdqn.experiment import ExperimentConfig, save_experiment_config
+from chatdqn.corpus import load_corpus, load_splits, save_corpus
+from chatdqn.embeddings import embed_corpus, embed_texts, load_embeddings
+from chatdqn.experiment import ExperimentConfig, load_experiment_config, save_experiment_config
+from chatdqn.repl import chat_repl
 from chatdqn.reward_predictor import PredictorConfig
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -181,6 +182,33 @@ def test_chat_utterances_come_from_the_runs_sentence_clusters(cli_world, tmp_pat
     vectors = embed_texts([l["text"] for l in agent],
                           load_embeddings(str(root / "emb6.txt"), 6))
     assert assign_many(model, vectors).tolist() == [l["action_id"] for l in agent]
+
+
+def test_chat_transcript_equals_a_session_on_re_embedded_vectors(cli_world, tmp_path,
+                                                               monkeypatch):
+    # chat hands the REPL the pipeline's sentence vectors; a session on a
+    # fresh embedding of the same corpus writes the same transcript
+    root, cpath, out = cli_world
+    ckpt = os.path.join(_first_run_dir(out), "checkpoint.bin")
+    script = ["hello there", "t00w01 t00w02", "t01w03", "t02w04 t03w05", ":quit"]
+    piped = str(tmp_path / "piped.jsonl")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(script) + "\n"))
+    assert main(["chat", "--config", cpath, "--checkpoint", ckpt,
+                 "--transcript", piped]) == 0
+
+    cfg = load_experiment_config(cpath)
+    table = load_embeddings(str(root / "emb6.txt"), 6)
+    corpus = load_corpus(os.path.join(out, "corpus.jsonl"))
+    feed = iter(script)
+    again = str(tmp_path / "again.jsonl")
+    chat_repl(load_qnetwork(ckpt),
+              load_cluster_model(os.path.join(out, "sentence_clusters_dim6.json")),
+              table, corpus, embed_corpus(corpus, table)[0], again,
+              input_fn=lambda prompt: next(feed), output_fn=lambda line: None,
+              rng=np.random.default_rng([cfg.seed, 30]),
+              candidates=cfg.agent.candidates, history_len=cfg.agent.history_len)
+    with open(piped, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_chat_on_a_fresh_out_dir_runs_the_data_stages(cli_world, tmp_path, monkeypatch):

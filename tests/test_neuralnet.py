@@ -100,6 +100,48 @@ def test_sigmoid_matches_two_branch_logistic():
     assert np.all((got >= 0.0) & (got <= 1.0))
 
 
+def test_sigmoid_float32_stays_float32():
+    x64 = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, 1e3, -1e3]])
+    x = x64.astype(np.float32)
+    with np.errstate(all="raise"):
+        got = sigmoid(x)
+    assert got.dtype == np.float32
+    ref = sigmoid(x.astype(np.float64))  # pinned by the test above
+    np.testing.assert_allclose(got, ref, rtol=0, atol=np.finfo(np.float32).eps)
+    assert got[x == 0.0].tolist() == [0.5, 0.5]
+    assert got[x == 1e3].tolist() == [1.0] and got[x == -1e3].tolist() == [0.0]
+
+
+def test_dropout_mask_stream_does_not_depend_on_dtype():
+    x = np.random.default_rng(3).normal(size=(5, 7))
+    y64, m64 = dropout(x, 0.3, True, np.random.default_rng(4))
+    y32, m32 = dropout(x.astype(np.float32), 0.3, True, np.random.default_rng(4))
+    assert y32.dtype == m32.dtype == np.float32
+    np.testing.assert_array_equal(m32, m64.astype(np.float32))
+
+
+def test_astype_casts_a_copy_of_every_parameter_and_buffer():
+    model = RewardRegressor(3, 4, rng=np.random.default_rng(5))
+    model.bn1_mean += 0.25
+    cast = model.astype(np.float32)
+    assert cast.hidden_dim == model.hidden_dim
+    for k, v in cast.params().items():
+        assert v.dtype == np.float32, k
+        np.testing.assert_array_equal(v, model.params()[k].astype(np.float32))
+        assert not np.shares_memory(v, model.params()[k]), k
+    for name in ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var"):
+        buf = getattr(cast, name)
+        assert buf.dtype == np.float32, name
+        np.testing.assert_array_equal(buf, getattr(model, name).astype(np.float32))
+    assert model.params()["head.W"].dtype == np.float64  # the original stays
+    X = np.random.default_rng(6).normal(size=(4, 3, 3))
+    lengths = np.array([3, 2, 1, 3])
+    out = cast.forward(X, lengths)
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, model.astype(np.float32).astype(np.float64)
+                               .forward(X, lengths), rtol=0, atol=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # single GRU steps, pinned (gru_forward on one row)
 

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from chatdqn.clustering import ClusterModel
 from chatdqn.corpus import Corpus
-from chatdqn.embeddings import embed_texts
+from chatdqn.embeddings import embed_corpus, embed_texts
 from chatdqn.neuralnet import QNetwork
 from chatdqn.repl import chat_repl
 
@@ -32,7 +33,7 @@ def run_session(inputs, net, model, table, corpus, path, **kw):
             raise EOFError
 
     outputs = []
-    got = chat_repl(net, model, table, corpus, str(path),
+    got = chat_repl(net, model, table, corpus, embed_corpus(corpus, table)[0], str(path),
                     input_fn=input_fn, output_fn=outputs.append,
                     rng=np.random.default_rng(5), **kw)
     assert got == str(path)
@@ -122,7 +123,8 @@ def test_cluster_count_mismatch_rejected(repl_world, tmp_path):
     wrong = topic_cluster_model(table, 6)
     bad_net = QNetwork(table.dim, 8, 4, rng=np.random.default_rng(1))
     with pytest.raises(ValueError, match="cluster model"):
-        chat_repl(bad_net, wrong, table, corpus, str(tmp_path / "t.jsonl"))
+        chat_repl(bad_net, wrong, table, corpus, embed_corpus(corpus, table)[0],
+                  str(tmp_path / "t.jsonl"))
 
 
 def test_tiny_corpus_rejected(repl_world, tmp_path):
@@ -130,8 +132,38 @@ def test_tiny_corpus_rejected(repl_world, tmp_path):
     small = Corpus(corpus.dialogues[:1])
     n = len(small.dialogues[0].turns)
     with pytest.raises(ValueError, match="sentences"):
-        chat_repl(net, model, table, small, str(tmp_path / "t.jsonl"),
-                  candidates=n + 1)
+        chat_repl(net, model, table, small, embed_corpus(small, table)[0],
+                  str(tmp_path / "t.jsonl"), candidates=n + 1)
+
+
+def test_vectors_of_another_corpus_rejected(repl_world, tmp_path):
+    net, model, table, corpus = repl_world
+    other = embed_corpus(Corpus(corpus.dialogues[:1]), table)[0]
+    with pytest.raises(ValueError, match="sentence vectors"):
+        chat_repl(net, model, table, corpus, other, str(tmp_path / "t.jsonl"))
+
+
+def test_agent_lines_enter_the_state_as_the_given_vectors(repl_world, tmp_path):
+    # the corpus's sentences are read from the vectors passed in, not
+    # embedded again: shift every vector and every centroid by one offset
+    # (same clusters, same draws) and the agent's line enters the second
+    # turn's state shifted, while the user's lines are embedded by the table
+    net, model, table, corpus = repl_world
+    shift = np.linspace(-1.0, 1.0, table.dim)
+    moved = ClusterModel(model.k, model.dim, model.centroids + shift, model.inertia)
+    user = ["t00w01 t00w02", "t01w04 t01w05"]
+    feed = iter(user + [":quit"])
+    out = []
+    chat_repl(net, moved, table, corpus, embed_corpus(corpus, table)[0] + shift,
+              str(tmp_path / "t.jsonl"), input_fn=lambda prompt: next(feed),
+              output_fn=out.append, rng=np.random.default_rng(5))
+    q_line = [o for o in out if o.startswith("q: ")][1]
+    reply = next(o for o in out if o.startswith("agent[")).split("> ", 1)[1]
+    X = embed_texts([user[0], reply, user[1]], table)
+    X[1] += shift
+    q = net.forward(X[None], [3], train_mode=False)[0]
+    shown = [float(e.rstrip("*").split(":")[1]) for e in q_line[3:].split()]
+    np.testing.assert_allclose(shown, q, atol=5e-4)
 
 
 def test_transcript_written_incrementally(repl_world, tmp_path):

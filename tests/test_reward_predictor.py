@@ -20,7 +20,7 @@ from chatdqn.reward_predictor import (
 )
 from chatdqn.corpus import stable_seed
 from chatdqn.embeddings import embed_corpus, embed_texts
-from chatdqn.neuralnet import regressor_loss_and_grads
+from chatdqn.neuralnet import Adam, RewardRegressor, regressor_loss_and_grads
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,41 @@ def test_single_example_overfit(tiny_world):
     loss, _ = regressor_loss_and_grads(model, X[pair], lengths[pair], y[pair],
                                        train_mode=True)
     assert loss < 1e-2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_regressor_batch_stays_in_the_networks_dtype(tiny_world, monkeypatch, dtype):
+    # train_predictor builds a float32 regressor; one batch keeps every
+    # parameter, gradient, Adam moment and batch-norm running statistic in
+    # the regressor's dtype (float64 by casting the regressor it builds)
+    table, corpus = tiny_world
+    distorted = distort_corpus(corpus, (0.0, 0.5), np.random.default_rng(12))
+    X, lengths, y = _examples(distorted, table, h=4)
+    cfg = PredictorConfig(hidden_dim=5, batch_size=len(y), epochs=1, runs=1, seed=2)
+    steps = []
+
+    class RecordingAdam(Adam):
+        def step(self, params, grads):
+            super().step(params, grads)
+            steps.append((self, grads))
+
+    monkeypatch.setattr("chatdqn.reward_predictor.Adam", RecordingAdam)
+    if dtype is not np.float32:
+        astype = RewardRegressor.astype
+        monkeypatch.setattr(RewardRegressor, "astype",
+                            lambda self, _: astype(self, dtype))
+    model = train_predictor(X, lengths, y, cfg)
+    assert len(steps) == 1
+    optimizer, grads = steps[0]
+    assert set(grads) == set(model.params())
+    for name, p in model.params().items():
+        assert p.dtype == dtype, name
+        assert grads[name].dtype == dtype, name
+        assert optimizer.m[name].dtype == dtype, name
+        assert optimizer.v[name].dtype == dtype, name
+    for buf in (model.bn1_mean, model.bn1_var, model.bn2_mean, model.bn2_var):
+        assert buf.dtype == dtype
+    assert predict(model, X, lengths).dtype == dtype
 
 
 def test_constant_targets_learn_constant(tiny_world):
