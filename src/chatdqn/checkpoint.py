@@ -1,13 +1,17 @@
-"""Versioned binary checkpoint container.
+"""The Q-network file, written by `save_agent_checkpoint` and read by
+`load_qnetwork`, plus the atomic writers every pipeline artifact goes
+through.
 
-Layout: 4-byte magic, 4-byte big-endian header length, canonical JSON
-header, then the raw array payload — every tensor as little-endian float64
-bytes in C order, concatenated in the header's array order (sorted by
-name). Canonical JSON plus raw float64 bytes makes save/load round trips
-and rerun-determinism bit-exact. A float32 network's weights are stored
-exactly as float64 (the upcast loses nothing), and `load_qnetwork` casts
-them back to the float32 the pipeline's networks compute in, which is
-exact too: loading and saving again reproduces the file byte for byte.
+Layout: 4-byte magic `CDQ1`, 4-byte big-endian header length, canonical
+JSON header (sorted keys, no spaces: `version`, `kind` "agent",
+`config_hash`, `arch`, an empty `meta`, and `arrays`, the name and shape of
+each tensor, sorted by name), then the raw array payload: every tensor as
+little-endian float64 bytes in C order, in the header's order. Canonical
+JSON plus raw float64 bytes makes save/load round trips and
+rerun-determinism bit-exact. A float32 network's weights are stored exactly
+as float64 (the upcast loses nothing), and `load_qnetwork` casts them back
+to the float32 the pipeline's networks compute in, which is exact too:
+loading and saving again reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -16,25 +20,21 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .neuralnet import QNetwork
 
 __all__ = [
-    "Checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
     "save_agent_checkpoint",
     "load_qnetwork",
-    "architecture_of",
     "atomic_write",
     "write_json",
 ]
 
 _MAGIC = b"CDQ1"
 _VERSION = 1
+_ARCH = ("embedding_dim", "hidden_dim", "n_actions")
 
 
 @contextmanager
@@ -63,31 +63,21 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-@dataclass(eq=False)
-class Checkpoint:
-    kind: str
-    config_hash: str
-    arch: dict
-    meta: dict
-    arrays: dict  # name -> float64 ndarray
-
-
-def save_checkpoint(
-    path: str,
-    kind: str,
-    arch: dict,
-    arrays: dict,
-    config_hash: str = "",
-    meta: dict | None = None,
-) -> None:
-    names = sorted(arrays)
+def save_agent_checkpoint(path: str, agent, config_hash: str = "") -> None:
+    """The online Q-network's parameters as `net.*` arrays, with its
+    architecture: what `load_qnetwork` reads. This is not a training state;
+    the target network, the Adam moments, the replay memory and the rng
+    streams are not saved, so a run cannot resume from it."""
+    net = agent.net
+    params = net.params()
+    names = sorted(params)
     header = {
         "version": _VERSION,
-        "kind": kind,
+        "kind": "agent",
         "config_hash": config_hash,
-        "arch": arch,
-        "meta": meta or {},
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
+        "arch": {k: getattr(net, k) for k in (*_ARCH, "dropout_rate")},
+        "meta": {},
+        "arrays": [{"name": f"net.{n}", "shape": list(params[n].shape)} for n in names],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, "wb") as fh:
@@ -95,58 +85,7 @@ def save_checkpoint(
         fh.write(struct.pack(">I", len(header_bytes)))
         fh.write(header_bytes)
         for n in names:
-            arr = np.ascontiguousarray(arrays[n], dtype="<f8")
-            fh.write(arr.tobytes(order="C"))
-
-
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (hlen,) = struct.unpack(">I", blob[4:8])
-    header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
-    if header.get("version") != _VERSION:
-        raise ValueError(f"unsupported checkpoint version: {header.get('version')!r}")
-    arrays = {}
-    offset = 8 + hlen
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError(f"{path}: truncated array payload at {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
-    return Checkpoint(
-        kind=header["kind"],
-        config_hash=header["config_hash"],
-        arch=header["arch"],
-        meta=header["meta"],
-        arrays=arrays,
-    )
-
-
-def architecture_of(net: QNetwork) -> dict:
-    return {
-        "embedding_dim": net.embedding_dim,
-        "hidden_dim": net.hidden_dim,
-        "n_actions": net.n_actions,
-        "dropout_rate": net.dropout_rate,
-    }
-
-
-def save_agent_checkpoint(path: str, agent, config_hash: str = "") -> None:
-    """The online Q-network's parameters as `net.*` arrays, with its
-    architecture: what `load_qnetwork` reads. This is not a training state;
-    the target network, the Adam moments, the replay memory and the rng
-    streams are not saved, so a run cannot resume from it."""
-    arrays = {f"net.{k}": v for k, v in agent.net.params().items()}
-    save_checkpoint(
-        path, "agent", architecture_of(agent.net), arrays, config_hash=config_hash
-    )
+            fh.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes(order="C"))
 
 
 def load_qnetwork(path: str) -> QNetwork:
@@ -154,18 +93,49 @@ def load_qnetwork(path: str) -> QNetwork:
     other arrays (checkpoints once also held the target network and Adam
     moments) are ignored. The network computes in float32, as the agent's
     online network does. The architecture is the checkpoint's own;
-    `experiment.load_policy` checks it against a config."""
-    ckpt = load_checkpoint(path)
-    arch = ckpt.arch
-    net = QNetwork(
-        int(arch["embedding_dim"]),
-        int(arch["hidden_dim"]),
-        int(arch["n_actions"]),
-        dropout_rate=float(arch.get("dropout_rate", 0.0)),
-        rng=np.random.default_rng(0),
-    ).astype(np.float32)
-    flat = {
-        k[len("net.") :]: v for k, v in ckpt.arrays.items() if k.startswith("net.")
-    }
-    net.load_params(flat)
+    `experiment.load_policy` checks it against a config. A malformed file
+    raises `ValueError` naming `path`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 8 or blob[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    (hlen,) = struct.unpack(">I", blob[4:8])
+    try:
+        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    if header.get("version") != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version: {header.get('version')!r}")
+    arch = header.get("arch")
+    try:
+        dims = [int(arch[k]) for k in _ARCH]
+        dropout_rate = float(arch.get("dropout_rate", 0.0))
+        entries = [(str(e["name"]), tuple(int(n) for n in e["shape"]))
+                   for e in header["arrays"]]
+        if any(n < 0 for _, shape in entries for n in shape):
+            raise ValueError("negative array shape")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}"
+        ) from None
+    flat = {}
+    offset = 8 + hlen
+    for name, shape in entries:
+        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        chunk = blob[offset : offset + nbytes]
+        if len(chunk) != nbytes:
+            raise ValueError(f"{path}: truncated array payload at {name!r}")
+        if name.startswith("net."):
+            flat[name[len("net.") :]] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        offset += nbytes
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
+    try:
+        net = QNetwork(*dims, dropout_rate=dropout_rate,
+                       rng=np.random.default_rng(0)).astype(np.float32)
+        net.load_params(flat)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return net

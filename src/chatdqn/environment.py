@@ -26,6 +26,7 @@ __all__ = [
     "EnvState",
     "CandidateSet",
     "DialogueEnv",
+    "candidate_of_cluster",
     "episode_reward",
     "baseline_bounds",
 ]
@@ -121,8 +122,8 @@ class DialogueEnv:
 
         Reward is +1 iff `chosen` equals the truth sentence's cluster id.
         The uttered sentence is the truth on +1, otherwise a uniformly chosen
-        candidate from the chosen cluster; the scripted env reply (when the
-        dialogue has one) follows either way.
+        candidate from the chosen cluster (`candidate_of_cluster`); the
+        scripted env reply (when the dialogue has one) follows either way.
         """
         if state.done:
             raise ValueError("episode is done")
@@ -136,12 +137,8 @@ class DialogueEnv:
             uttered = cands.sentence_ids[cands.truth_index]
         else:
             reward = -1
-            pool = [
-                sid
-                for sid, aid in zip(cands.sentence_ids, cands.action_ids)
-                if aid == chosen
-            ]
-            uttered = pool[0] if len(pool) == 1 else pool[int(self._rng.integers(len(pool)))]
+            uttered = candidate_of_cluster(
+                cands.sentence_ids, cands.action_ids, chosen, self._rng)
         di = self.corpus.index_of(state.dialogue_ref)
         start = self._offsets[di]
         n_turns = self._offsets[di + 1] - start
@@ -163,6 +160,15 @@ class DialogueEnv:
         """Materialize histories (as sentence-id tuples) into a padded
         (B, T, m) batch plus its lengths vector (`neuralnet.pad_batch`)."""
         return pad_batch(self._vectors, id_tuples)
+
+
+def candidate_of_cluster(sentence_ids, action_ids, chosen: int,
+                         rng: np.random.Generator) -> int:
+    """The candidate uttered for cluster `chosen`: uniformly among the
+    candidates of that cluster, where a lone candidate takes no draw from
+    `rng`. The one rule for the environment and the chat REPL."""
+    pool = [sid for sid, aid in zip(sentence_ids, action_ids) if aid == chosen]
+    return pool[0] if len(pool) == 1 else pool[int(rng.integers(len(pool)))]
 
 
 def episode_reward(rewards: Iterable[int]) -> int:

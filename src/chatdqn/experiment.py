@@ -132,6 +132,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config of a `to_dict` dict; a missing key takes its default."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        if not isinstance(d.get("embeddings", {}), dict):
+            raise ValueError("config embeddings must be a JSON object of dim -> path")
         if d.get("version") != 1:
             raise ValueError(f"unsupported config version: {d.get('version')!r}")
         kwargs = {k: v for k, v in d.items() if k != "version"}

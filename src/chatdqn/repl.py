@@ -18,6 +18,7 @@ from .agent import select_action
 from .clustering import ClusterModel, assign_many
 from .corpus import Corpus, sample_distractors
 from .embeddings import WordEmbeddingTable, embed_texts
+from .environment import candidate_of_cluster
 from .neuralnet import QNetwork
 
 __all__ = ["chat_repl"]
@@ -112,8 +113,7 @@ def chat_repl(
             for i, a in zip(picks, cand_ids):
                 output_fn(f"  [{a}] {sentences[i]}")
             choice = select_action(q, cand_ids, 0.0, rng)
-            pool = [i for i, a in zip(picks, cand_ids) if a == choice]
-            uttered = pool[0] if len(pool) == 1 else pool[int(rng.integers(len(pool)))]
+            uttered = candidate_of_cluster(picks, cand_ids, choice, rng)
             output_fn(f"agent[{choice}]> {sentences[uttered]}")
             history.append(vectors[uttered])
             record("agent", sentences[uttered], action_id=choice)

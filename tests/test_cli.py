@@ -7,12 +7,13 @@ import json
 import os
 import pathlib
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings, save_embeddings_file
-from chatdqn.checkpoint import load_checkpoint, load_qnetwork, save_checkpoint
+from chatdqn.checkpoint import load_qnetwork
 from chatdqn.cli import build_parser, main
 from chatdqn.clustering import assign_many, load_cluster_model
 from chatdqn.corpus import load_corpus, load_splits, save_corpus
@@ -66,6 +67,20 @@ def _first_run_dir(out):
     return os.path.join(base, sorted(os.listdir(base))[0])
 
 
+def _checkpoint_parts(out):
+    """(header, payload bytes) of the first run's `CDQ1` checkpoint: magic,
+    big-endian header length, JSON header, float64 payload."""
+    blob = open(os.path.join(_first_run_dir(out), "checkpoint.bin"), "rb").read()
+    (hlen,) = struct.unpack(">I", blob[4:8])
+    return json.loads(blob[8 : 8 + hlen]), bytearray(blob[8 + hlen :])
+
+
+def _write_checkpoint(path, header, payload):
+    header_bytes = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"CDQ1" + struct.pack(">I", len(header_bytes)) + header_bytes + payload)
+
+
 # ----------------------------------------------------------- pipeline
 
 def test_run_writes_markers(cli_world, capsys):
@@ -108,6 +123,31 @@ def test_eval_arch_mismatch_refused(cli_world, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "error:" in err and "architecture mismatch" in err
+
+
+_MALFORMED_HEADERS = {
+    "no_arch": lambda h: {k: v for k, v in h.items() if k != "arch"},
+    "arch_without_hidden_dim": lambda h: {
+        **h, "arch": {k: v for k, v in h["arch"].items() if k != "hidden_dim"}},
+    "header_a_list": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("case", ["five_bytes", *_MALFORMED_HEADERS])
+def test_eval_malformed_checkpoint_is_error(cli_world, tmp_path, capsys, case):
+    # each of these once ended `eval` in a traceback (struct.error,
+    # KeyError, AttributeError) instead of an error line
+    _, cpath, out = cli_world
+    ckpt = str(tmp_path / f"{case}.bin")
+    if case == "five_bytes":
+        open(ckpt, "wb").write(b"CDQ1\x00")
+    else:
+        header, payload = _checkpoint_parts(out)
+        _write_checkpoint(ckpt, _MALFORMED_HEADERS[case](header), payload)
+    rc = main(["eval", "--config", cpath, "--checkpoint", ckpt, "--dialogues", "train"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ")
 
 
 def test_train_single_split(cli_world, tmp_path, capsys):
@@ -245,10 +285,15 @@ def test_chat_has_no_clusters_flag(cli_world, tmp_path):
 
 def test_chat_non_finite_q_values_is_error(cli_world, tmp_path, monkeypatch, capsys):
     root, cpath, out = cli_world
-    ck = load_checkpoint(os.path.join(_first_run_dir(out), "checkpoint.bin"))
-    ck.arrays["net.head.b"][0] = float("nan")
+    header, payload = _checkpoint_parts(out)
+    offset = 0
+    for entry in header["arrays"]:  # the payload is in header order
+        if entry["name"] == "net.head.b":
+            break
+        offset += int(np.prod(entry["shape"])) * 8
+    payload[offset : offset + 8] = struct.pack("<d", float("nan"))
     ckpt = str(tmp_path / "nan.bin")
-    save_checkpoint(ckpt, ck.kind, ck.arch, ck.arrays, ck.config_hash, ck.meta)
+    _write_checkpoint(ckpt, header, payload)
     monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n:quit\n"))
     rc = main(["chat", "--config", cpath, "--checkpoint", ckpt,
                "--transcript", str(tmp_path / "t.jsonl")])
@@ -403,6 +448,22 @@ def test_non_integer_seed_or_k_splits_is_error(cli_world, tmp_path, capsys, key,
     assert main(["run", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{key} must be an integer" in err
+    assert not os.path.exists(d["out_dir"])
+
+
+@pytest.mark.parametrize("shape", ["top_level_list", "embeddings_list"])
+def test_config_that_is_not_an_object_is_error(cli_world, tmp_path, capsys, shape):
+    # both used to end `run` in an AttributeError traceback
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d["out_dir"] = str(tmp_path / "out")
+    bad_cfg = [d] if shape == "top_level_list" else {**d, "embeddings": [[6, "emb6.txt"]]}
+    bad = root / f"bad_{shape}.json"
+    bad.write_text(json.dumps(bad_cfg))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a JSON object" in err
     assert not os.path.exists(d["out_dir"])
 
 

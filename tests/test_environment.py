@@ -6,7 +6,12 @@ import pytest
 from chatdqn import make_toy_corpus, make_toy_embeddings
 from chatdqn.corpus import Corpus, Dialogue, Turn, sample_distractors
 from chatdqn.embeddings import embed_corpus, embed_texts
-from chatdqn.environment import DialogueEnv, baseline_bounds, episode_reward
+from chatdqn.environment import (
+    DialogueEnv,
+    baseline_bounds,
+    candidate_of_cluster,
+    episode_reward,
+)
 
 from conftest import topic_cluster_model
 
@@ -201,6 +206,17 @@ def test_step_collision_rule_rewards_truth_cluster(world):
     assert set(cands.action_ids) == {0}
     _, r, _ = env1.step(state, 0, cands)
     assert r == 1
+
+
+def test_candidate_of_cluster_draws_only_among_several():
+    # a lone candidate of the cluster takes no draw; several take one
+    # uniform draw over them, in candidate order
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    assert candidate_of_cluster((7, 8, 9), (1, 2, 3), 2, rng) == 8
+    assert rng.bit_generator.state == ref.bit_generator.state
+    expected = (7, 9)[int(ref.integers(2))]
+    assert candidate_of_cluster((7, 8, 9), (1, 2, 1), 1, rng) == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_step_rejects_non_candidate_action(world):

@@ -1,8 +1,14 @@
 """Every public name is read somewhere: a name in a submodule's `__all__`
 must be referenced in `src/`, `demos/` or `bench/` outside its own
-definition. Tests do not count, so code that only tests read fails here."""
+definition. Tests do not count, so code that only tests read fails here.
+Every per-layer row of `BENCHMARK.json` names a callable the benchmark's
+tracer wraps, so a rename cannot leave a row reading 0 unnoticed."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import json
 import pathlib
 
 import pytest
@@ -66,3 +72,38 @@ def test_public_name_is_read_outside_its_definition(path, name):
             return
     pytest.fail(f"{path.stem}.{name} is exported but nothing in src/, demos/ "
                 f"or bench/ reads it")
+
+
+# Per-layer rows of BENCHMARK.json whose function is gone: each reads 0
+# until the benchmark renames it (ROADMAP item 1 lists the new names).
+DEAD_LAYER_ROWS = {
+    "embeddings.embed_sentence.calls",
+    "embeddings.embed_sentence.self_s",
+    "clustering.dialogue_vector.calls",
+    "reward_predictor.examples_from_distorted.self_s",
+}
+
+
+def _traced_layer(layer):
+    """Whether the benchmark's tracer wraps `layer`: `module.function` for a
+    function in the module's `__all__`, or `module.Class.method` for a public
+    method (or `__init__`) in `vars()` of a non-dataclass class there."""
+    module, attr, *method = layer.split(".")
+    mod = importlib.import_module(f"chatdqn.{module}")
+    obj = getattr(mod, attr, None)
+    if attr not in getattr(mod, "__all__", ()) or getattr(obj, "__module__", None) != mod.__name__:
+        return False
+    if not method:
+        return inspect.isfunction(obj)
+    (meth,) = method
+    return (inspect.isclass(obj) and not dataclasses.is_dataclass(obj)
+            and inspect.isfunction(vars(obj).get(meth))
+            and (meth == "__init__" or not meth.startswith("_")))
+
+
+def test_benchmark_layer_rows_name_traced_callables():
+    rows = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    layered = [r["name"] for r in rows if "." in r["name"]]  # the rest are whole-run figures
+    assert layered
+    dead = {name for name in layered if not _traced_layer(name.rsplit(".", 1)[0])}
+    assert dead == DEAD_LAYER_ROWS
