@@ -307,7 +307,7 @@ def _subset(corpus: Corpus, dialogue_ids: Sequence[str] | None):
     and the index of their rows in the corpus's sentence vectors."""
     if dialogue_ids is None:
         return corpus, slice(None)
-    offsets = corpus._turns[0]
+    offsets = corpus.turn_index[0]
     rows = [r for i in map(corpus.index_of, dialogue_ids)
             for r in range(offsets[i], offsets[i + 1])]
     return corpus.subset(dialogue_ids), rows

@@ -108,6 +108,9 @@ def _cmd_project(args) -> int:
             print("error: --what centroids needs --clusters", file=sys.stderr)
             return 1
         points = load_cluster_model(args.clusters).centroids
+    elif not args.corpus:
+        print(f"error: --what {args.what} needs --corpus", file=sys.stderr)
+        return 1
     else:
         vectors, offsets = embed_corpus(load_corpus(args.corpus), table)
         points = vectors if args.what == "sentences" else dialogue_vectors(vectors, offsets)

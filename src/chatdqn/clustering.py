@@ -152,6 +152,10 @@ def _append_inertia(history: list[float], inertia: float) -> None:
     history.append(inertia)
 
 
+# Lloyd passes per restart at most, and the centroid movement that stops one
+_MAX_ITERS, _TOL = 100, 1e-6
+
+
 def _lloyd_once(points, k, rng, max_iters, tol):
     centroids = kmeanspp_seed(points, k, rng)
     pn = np.sum(points**2, axis=1)
@@ -170,15 +174,10 @@ def _lloyd_once(points, k, rng, max_iters, tol):
     return centroids, inertia, history
 
 
-def fit(
-    points,
-    k: int,
-    rng: np.random.Generator,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    restarts: int = 10,
-) -> ClusterModel:
-    """Best of `restarts` K-Means++ seeded Lloyd runs (lowest inertia wins).
+def fit(points, k: int, rng: np.random.Generator, restarts: int = 10) -> ClusterModel:
+    """Best of `restarts` K-Means++ seeded Lloyd runs (lowest inertia wins),
+    each stopping after `_MAX_ITERS` passes or once no centroid moves by
+    `_TOL` or more.
 
     A single K-Means++ init lands in a suboptimal basin a noticeable
     fraction of the time even on tiny instances; ten restarts make the
@@ -195,7 +194,7 @@ def fit(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     best = None
     for _ in range(restarts):
-        centroids, inertia, history = _lloyd_once(points, k, rng, max_iters, tol)
+        centroids, inertia, history = _lloyd_once(points, k, rng, _MAX_ITERS, _TOL)
         if best is None or inertia < best[1]:
             best = (centroids, inertia, history)
     centroids, inertia, history = best

@@ -117,16 +117,17 @@ class Corpus:
         return Corpus(self.get(i) for i in dialogue_ids)
 
     @functools.cached_property
-    def _turns(self) -> tuple[list[int], list[str]]:
-        """The corpus's turn index, (offsets, texts): every turn's text in
-        corpus order, dialogue i owning texts[offsets[i]:offsets[i + 1]].
-        Positions in it are the sentence ids of the environment and the
-        rows of `embeddings.embed_corpus`."""
+    def turn_index(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """(offsets, texts): every turn's text in corpus order, dialogue i
+        owning texts[offsets[i]:offsets[i + 1]]. A position in it is a sentence
+        id, the only numbering of the corpus's sentences: the rows of
+        `embed_corpus`, the environment's states and candidates, and the
+        reward study's distorted dialogues."""
         offsets, texts = [0], []
         for d in self._dialogues:
             texts.extend(t.text for t in d.turns)
             offsets.append(len(texts))
-        return offsets, texts
+        return tuple(offsets), tuple(texts)
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,14 @@ class DataSplit:
 
 @dataclass(frozen=True, eq=False)
 class DistortedDialogue:
-    """A dialogue with some agent turns swapped for distractors.
+    """A dialogue as sentence ids of its corpus's turn index, with some agent
+    turns swapped for distractors' ids.
 
     label = (#agent turns kept) - (#agent turns replaced), i.e. exactly the
     episode reward an agent uttering these turns would earn.
     """
 
-    turns: tuple[Turn, ...]
+    sentence_ids: tuple[int, ...]
     label: int
 
 
@@ -191,8 +193,9 @@ def save_corpus(corpus: Corpus, path: str) -> None:
             fh.write("\n")
 
 
-def ingest_personachat(in_path: str, id_prefix: str = "pc") -> Corpus:
-    """Convert a parl.ai Persona-Chat text export to the internal model.
+def ingest_personachat(in_path: str) -> Corpus:
+    """Convert a parl.ai Persona-Chat text export to the internal model,
+    numbering its dialogues `pc-00001`, `pc-00002`, ... in file order.
 
     Lines look like `N text` with N restarting at 1 for each new dialogue;
     persona lines (`N your persona: ...` / `N partner's persona: ...`) are
@@ -209,7 +212,7 @@ def ingest_personachat(in_path: str, id_prefix: str = "pc") -> Corpus:
         nonlocal turns, counter
         if turns:
             counter += 1
-            d = Dialogue(id=f"{id_prefix}-{counter:05d}", turns=tuple(turns))
+            d = Dialogue(id=f"pc-{counter:05d}", turns=tuple(turns))
             validate_dialogue(d)
             dialogues.append(d)
             turns = []
@@ -309,7 +312,7 @@ def sample_distractors(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    offsets, texts = corpus._turns
+    offsets, texts = corpus.turn_index
     lo = hi = 0
     if exclude_id is not None:
         i = corpus._by_id.get(exclude_id)
@@ -332,25 +335,25 @@ def distort_dialogue(
     corpus: Corpus,
     rng: np.random.Generator,
 ) -> DistortedDialogue:
-    """Replace ceil(replace_fraction * #agent turns) agent turns, chosen
-    uniformly without replacement, by distractor sentences. Env turns and
-    the turn count never change."""
+    """The sentence ids of `d`, a dialogue of `corpus`, with ceil(replace_fraction
+    * #agent turns) agent turns, chosen uniformly without replacement, replaced
+    by `sample_distractors` picks. Env turns and the turn count never change."""
     if not 0.0 <= replace_fraction <= 1.0:
         raise ValueError(f"replace_fraction must be in [0, 1], got {replace_fraction}")
     agent_idx = d.agent_turn_indices
     n_agent = len(agent_idx)
     n_replace = math.ceil(replace_fraction * n_agent)
-    turns = list(d.turns)
+    start = corpus.turn_index[0][corpus.index_of(d.id)]
+    ids = list(range(start, start + len(d.turns)))
     if n_replace:
         chosen = set(
             int(c) for c in rng.choice(n_agent, size=n_replace, replace=False)
         )
-        texts = corpus._turns[1]
-        distractors = [texts[p] for p in sample_distractors(corpus, d.id, n_replace, rng)]
+        picks = sample_distractors(corpus, d.id, n_replace, rng)
         replaced = [turn_i for pos, turn_i in enumerate(agent_idx) if pos in chosen]
-        for turn_i, text in zip(replaced, distractors):
-            turns[turn_i] = Turn(speaker=AGENT, text=text)
-    return DistortedDialogue(turns=tuple(turns), label=n_agent - 2 * n_replace)
+        for turn_i, p in zip(replaced, picks):
+            ids[turn_i] = p
+    return DistortedDialogue(sentence_ids=tuple(ids), label=n_agent - 2 * n_replace)
 
 
 def stable_seed(*parts: int | str) -> int:
@@ -361,20 +364,25 @@ def stable_seed(*parts: int | str) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
+# annotation -> (the types a field of it takes, their name in an error)
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a finite number"),
+                "str": ((str,), "a string")}
+
+
 def require_field_types(obj) -> None:
-    """Raise ValueError unless each `int` or `float` field of the dataclass
-    `obj` holds a value of its annotated type. An `int` field takes an int,
-    not a bool or a float (such as a config file's `true` or `8.0`); a
-    `float` field takes a finite int or float, not a bool, a str or a NaN.
+    """Raise ValueError unless each `int`, `float` or `str` field of the
+    dataclass `obj` holds a value of its annotated type. An `int` field
+    takes an int, not a bool or a float (such as a config file's `true` or
+    `8.0`); a `float` field takes a finite int or float, not a bool, a str
+    or a NaN; a `str` field takes a str (a config's path `5` is refused).
     A field annotated `... | None` may also hold None. The annotations are
     read as the strings that `from __future__ import annotations` leaves."""
     for f in dataclasses.fields(obj):
         kind, _, optional = f.type.partition(" | ")
         value = getattr(obj, f.name)
-        if kind not in ("int", "float") or value is None and optional == "None":
+        if kind not in _FIELD_TYPES or value is None and optional == "None":
             continue
-        types = (int,) if kind == "int" else (int, float)
+        types, noun = _FIELD_TYPES[kind]
         if (isinstance(value, bool) or not isinstance(value, types)
                 or kind == "float" and not math.isfinite(value)):
-            noun = "an integer" if kind == "int" else "a finite number"
             raise ValueError(f"{f.name} must be {noun}, got {value!r}")

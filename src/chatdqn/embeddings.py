@@ -2,13 +2,14 @@
 
 A sentence is represented by the arithmetic mean of its in-vocabulary word
 vectors (zero vector when nothing is in vocabulary). This is the only module
-that averages word vectors: a corpus is embedded once, and everything
-downstream addresses its sentences by row.
+that averages word vectors: a corpus is embedded once, in the order of its
+turn index (`corpus.Corpus.turn_index`), and everything downstream
+addresses its sentences by row, that is, by sentence id.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ _EDGE_PUNCT = '.,!?;:"()'
 class WordEmbeddingTable:
     """Immutable token -> vector table: row i of the (n, dim) float64
     `matrix` is the vector of `tokens[i]`. The matrix is taken without a
-    copy and made read-only.
+    copy and made read-only, so `lookup` returns read-only rows.
 
     Safe to share across threads after construction; lookups never mutate.
     """
@@ -58,10 +59,6 @@ class WordEmbeddingTable:
     @property
     def tokens(self) -> tuple[str, ...]:
         return self._tokens
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -138,10 +135,9 @@ def embed_texts(texts: Sequence[str], table: WordEmbeddingTable) -> np.ndarray:
     return unique if len(rows) == len(ids) else unique[ids]
 
 
-def embed_corpus(dialogues: Iterable, table: WordEmbeddingTable):
-    """(vectors, offsets) for a sequence of dialogues (anything with `turns`):
-    one row per turn, in order, and dialogue i owns the rows
-    offsets[i]:offsets[i + 1]."""
-    turns = [d.turns for d in dialogues]
-    offsets = np.cumsum([0] + [len(t) for t in turns])
-    return embed_texts([t.text for ts in turns for t in ts], table), offsets
+def embed_corpus(corpus, table: WordEmbeddingTable):
+    """(vectors, offsets) of a `corpus.Corpus`: row j of vectors embeds
+    sentence id j of its turn index, and offsets are the index's own, so
+    dialogue i owns the rows offsets[i]:offsets[i + 1]."""
+    offsets, texts = corpus.turn_index
+    return embed_texts(texts, table), offsets

@@ -2,7 +2,7 @@
 human-human dialogues, choosing among clustered candidate responses and
 earning +1 when it picks the cluster of the true human reply, -1 otherwise.
 
-A sentence id is a position in the corpus's turn index (`Corpus._turns`):
+A sentence id is a position in the corpus's turn index (`Corpus.turn_index`):
 turn j of dialogue i is sentence offsets[i] + j. The environment takes the
 corpus's sentence vectors in that order (see `embeddings.embed_corpus`) and
 cluster-assigns them once at construction; states carry sentence ids, and
@@ -77,10 +77,10 @@ class DialogueEnv:
         self.corpus = corpus
         self.candidates = candidates
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._offsets, self._texts = corpus._turns
-        if vectors.shape != (len(self._texts), sentence_model.dim):
+        self._offsets = corpus.turn_index[0]
+        if vectors.shape != (self._offsets[-1], sentence_model.dim):
             raise ValueError(
-                f"sentence vectors of shape {vectors.shape} for {len(self._texts)} "
+                f"sentence vectors of shape {vectors.shape} for {self._offsets[-1]} "
                 f"sentences and cluster model dim {sentence_model.dim}"
             )
         self._vectors = vectors

@@ -56,7 +56,6 @@ from .embeddings import embed_corpus, load_embeddings
 from .environment import baseline_bounds
 from .repl import chat_repl
 from .reward_predictor import (
-    DISTORTION_FRACTIONS,
     HISTORY_LENGTHS,
     PredictorConfig,
     history_length_study,
@@ -134,8 +133,9 @@ class ExperimentConfig:
         """The config of a `to_dict` dict; a missing key takes its default."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        if not isinstance(d.get("embeddings", {}), dict):
-            raise ValueError("config embeddings must be a JSON object of dim -> path")
+        emb = d.get("embeddings", {})
+        if not isinstance(emb, dict) or not all(isinstance(p, str) for p in emb.values()):
+            raise ValueError("config embeddings must be a JSON object of dim -> path string")
         if d.get("version") != 1:
             raise ValueError(f"unsupported config version: {d.get('version')!r}")
         kwargs = {k: v for k, v in d.items() if k != "version"}
@@ -147,7 +147,7 @@ class ExperimentConfig:
             kwargs["predictor"] = PredictorConfig(**d.get("predictor", {}))
         except TypeError as exc:
             raise ValueError(f"bad agent/predictor config: {exc}") from None
-        kwargs["embeddings"] = {int(k): v for k, v in d.get("embeddings", {}).items()}
+        kwargs["embeddings"] = {int(k): v for k, v in emb.items()}
         return cls(**kwargs)
 
 
@@ -817,7 +817,6 @@ def reward_study(
     cfg: ExperimentConfig,
     out_path: str | None = None,
     lengths=HISTORY_LENGTHS,
-    fractions=DISTORTION_FRACTIONS,
     log=None,
 ) -> list:
     """Run the history-length study and write `h,run,pearson` CSV rows.
@@ -832,9 +831,7 @@ def reward_study(
     base = cfg.dims[0]
     pcfg = replace(cfg.predictor, seed=cfg.seed)
     rows = history_length_study(
-        ctx.corpora["train"], ctx.corpora["test"], ctx.tables[base], pcfg,
-        lengths=lengths, fractions=fractions,
-    )
+        ctx.corpora["train"], ctx.corpora["test"], ctx.tables[base], pcfg, lengths=lengths)
     path = out_path or os.path.join(ctx.out, "study.csv")
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={ctx.h}\n")

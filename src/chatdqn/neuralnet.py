@@ -68,6 +68,11 @@ __all__ = [
     "regressor_loss_and_grads",
 ]
 
+# batch norm's running-statistics momentum and variance epsilon
+_BN_MOMENTUM, _BN_EPS = 0.99, 1e-5
+# Adam's moment decay rates and denominator epsilon (Kingma and Ba's defaults)
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _floating(x) -> np.ndarray:
     """x as an array of its own float dtype, or float64 if it has none."""
@@ -252,10 +257,7 @@ def dropout(x, rate: float, train_mode: bool, rng: np.random.Generator | None = 
     return x * scaled_mask, scaled_mask
 
 
-def batchnorm_forward(
-    x, gamma, beta, running_mean, running_var, train_mode: bool,
-    momentum: float = 0.99, eps: float = 1e-5,
-):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, train_mode: bool):
     """Feature-wise batch normalization on a (B, F) batch.
 
     Train mode normalizes by biased batch statistics and folds them into the
@@ -273,15 +275,15 @@ def batchnorm_forward(
             raise ValueError(f"batchnorm train mode needs batch >= 2, got {n}")
         mu = x.mean(axis=0)
         var = x.var(axis=0)  # biased
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         xhat = (x - mu) * inv_std
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= _BN_MOMENTUM
+        running_mean += (1.0 - _BN_MOMENTUM) * mu
+        running_var *= _BN_MOMENTUM
+        running_var += (1.0 - _BN_MOMENTUM) * var
         cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "n": n}
     else:
-        xhat = (x - running_mean) / np.sqrt(running_var + eps)
+        xhat = (x - running_mean) / np.sqrt(running_var + _BN_EPS)
         cache = None
     return gamma * xhat + beta, cache
 
@@ -302,30 +304,26 @@ class Adam:
     """Adam with bias correction; updates parameters in place so shared
     references (network views, checkpoints) stay valid."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _ADAM_BETA1**self.t
+        b2c = 1.0 - _ADAM_BETA2**self.t
         for k, g in grads.items():
             if g.shape != params[k].shape:
                 raise ValueError(f"gradient shape mismatch for {k}")
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
 
 
 def _flat(prefix: str, p: dict) -> dict:

@@ -59,7 +59,7 @@ def chat_repl(
             f"network has {net.n_actions} actions but cluster model has k={sentence_model.k}"
         )
     rng = rng if rng is not None else np.random.default_rng(0)
-    sentences = corpus._turns[1]
+    sentences = corpus.turn_index[1]
     if len(sentences) < candidates:
         raise ValueError(f"corpus has {len(sentences)} sentences; need >= {candidates}")
     if vectors.shape != (len(sentences), sentence_model.dim):

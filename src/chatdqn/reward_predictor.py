@@ -2,12 +2,13 @@
 episode reward of (possibly distorted) dialogues from their first h
 sentences, and report Pearson correlation as a function of h.
 
-Distortions swap agent turns for sentences of other dialogues drawn by
+A distorted dialogue is sentence ids of its corpus's turn index: its own,
+with some agent turns swapped for other dialogues' sentences drawn by
 `corpus.sample_distractors`, the draw that also supplies the environment's
-candidate distractors. They are drawn and embedded once per corpus and
-shared across history lengths, so the h=50 histories literally contain the
-h=1 histories as prefixes. Run r at history length h trains with the seed
-`corpus.stable_seed(seed, h, r)`.
+candidate distractors. Each corpus is embedded once and its distortions
+drawn once, shared across history lengths and batched by `pad_batch`, so
+the h=50 histories literally contain the h=1 histories as prefixes. Run r
+at history length h trains with the seed `corpus.stable_seed(seed, h, r)`.
 """
 
 from __future__ import annotations
@@ -75,22 +76,17 @@ def distort_corpus(
     rng: np.random.Generator,
 ) -> list[DistortedDialogue]:
     """One DistortedDialogue per (dialogue, fraction), in corpus order."""
-    out = []
-    for d in corpus:
-        for phi in fractions:
-            out.append(distort_dialogue(d, phi, corpus, rng))
-    return out
+    return [distort_dialogue(d, phi, corpus, rng) for d in corpus for phi in fractions]
 
 
-def history_prefixes(vectors: np.ndarray, offsets, h: int):
-    """(X, lengths): the first h sentence vectors of each dialogue of an
-    `embed_corpus` result, as an (n, T, dim) batch zero-padded after each
-    dialogue's last sentence (`neuralnet.pad_batch`), T = min(h, longest
-    dialogue)."""
+def history_prefixes(vectors: np.ndarray, distorted: Sequence[DistortedDialogue], h: int):
+    """(X, lengths): the first h sentence ids of each distorted dialogue,
+    gathered from its corpus's sentence vectors (`embed_corpus`) into an
+    (n, T, dim) batch zero-padded after each dialogue's last sentence
+    (`neuralnet.pad_batch`), T = min(h, longest dialogue)."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    return pad_batch(vectors, [range(a, min(a + h, b))
-                               for a, b in zip(offsets[:-1], offsets[1:])])
+    return pad_batch(vectors, [dd.sentence_ids[:h] for dd in distorted])
 
 
 def _labels(distorted: Sequence[DistortedDialogue]) -> np.ndarray:
@@ -167,12 +163,13 @@ def history_length_study(
     rng = np.random.default_rng([cfg.seed, 100])
     train_d = distort_corpus(train_corpus, fractions, rng)
     test_d = distort_corpus(test_corpus, fractions, rng)
-    train_emb, test_emb = embed_corpus(train_d, table), embed_corpus(test_d, table)
+    train_v, _ = embed_corpus(train_corpus, table)
+    test_v, _ = embed_corpus(test_corpus, table)
     y_train, y_true = _labels(train_d), _labels(test_d)
     rows = []
     for h in lengths:
-        X_train, len_train = history_prefixes(*train_emb, h)
-        X_test, len_test = history_prefixes(*test_emb, h)
+        X_train, len_train = history_prefixes(train_v, train_d, h)
+        X_test, len_test = history_prefixes(test_v, test_d, h)
         scores = []
         for run in range(cfg.runs):
             run_cfg = replace(cfg, seed=stable_seed(cfg.seed, h, run))

@@ -50,10 +50,10 @@ def make_toy_corpus(
     seed: int = 0,
     words_per_topic: int = 20,
     turns_range: tuple[int, int] = (8, 14),
-    words_per_sentence: tuple[int, int] = (3, 6),
     id_prefix: str = "toy",
 ) -> Corpus:
-    """Alternating env/agent dialogues, each on a single topic.
+    """Alternating env/agent dialogues, each on a single topic, of 3 to 6
+    words per sentence.
 
     turns_range is inclusive; odd draws are rounded up so every dialogue
     ends on an agent turn.
@@ -69,7 +69,7 @@ def make_toy_corpus(
             n_turns += 1
         turns = []
         for j in range(n_turns):
-            n_words = int(rng.integers(words_per_sentence[0], words_per_sentence[1] + 1))
+            n_words = int(rng.integers(3, 7))  # 3 to 6 words
             words = [
                 _topic_word(topic, int(rng.integers(words_per_topic)))
                 for _ in range(n_words)

@@ -372,6 +372,53 @@ def test_target_net_frozen_between_syncs(train_world):
         assert np.array_equal(p, agent.net.params()[name]), name
 
 
+@pytest.mark.parametrize("cap", [1, 3])
+def test_history_window_shorter_than_the_dialogues(monkeypatch, cap):
+    # dialogues of 10 to 14 turns outgrow a history_len of 1 or 3: every
+    # replayed state is the last `cap` sentence ids of its transcript, and
+    # greedy evaluation never scores a batch wider than `cap` steps
+    import chatdqn.agent as agent_module
+
+    table = make_toy_embeddings(4, dim=6, seed=31)
+    corpus = make_toy_corpus(12, topics=range(4), seed=31, turns_range=(10, 14))
+    model = topic_cluster_model(table, 4)
+    vectors, _ = embed_corpus(corpus, table)
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6, history_len=cap,
+        burn_in=10, learn_steps=60, batch_size=4, memory_capacity=100,
+        target_sync_period=20, test_steps=1000, seed=13,
+    )
+    transcripts = []  # (history_ids before, history_ids after) of each env step
+
+    class RecordingEnv(DialogueEnv):
+        def step(self, state, chosen, cands):
+            out = super().step(state, chosen, cands)
+            transcripts.append((state.history_ids, out[0].history_ids))
+            return out
+
+    monkeypatch.setattr(agent_module, "DialogueEnv", RecordingEnv)
+    _, agent, _ = train(corpus, cfg, model, vectors)
+    assert len(agent.memory) == len(transcripts)  # one slot per step, none overwritten
+    assert max(len(after) for _, after in transcripts) > 3
+    for slot, (before, after) in enumerate(transcripts):
+        t = agent.memory[slot]
+        assert len(t.s) <= cap and len(t.s_next) <= cap
+        assert t.s == before[-cap:] and t.s_next == after[-cap:]
+
+    transcripts.clear()
+    widths = []
+    forward = agent.net.forward
+
+    def recording_forward(X, lengths, **kw):
+        widths.append(X.shape[1])
+        return forward(X, lengths, **kw)
+
+    monkeypatch.setattr(agent.net, "forward", recording_forward)
+    evaluate(agent.net, corpus, cfg, model, vectors, seed=2)
+    assert max(len(before) for before, _ in transcripts) > 3
+    assert len(widths) == len(transcripts) and max(widths) == cap
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_learn_step_stays_in_the_networks_dtype(train_world, dtype):
     # the agent builds a float32 online network and a float64 target network;
@@ -618,11 +665,11 @@ def test_evaluate_candidates_paired_across_policies(train_world):
     seen: dict[str, list] = {"a": [], "b": []}
 
     def spy_a(state, cands, env):
-        seen["a"].append([env.corpus._turns[1][i] for i in cands.sentence_ids])
+        seen["a"].append([env.corpus.turn_index[1][i] for i in cands.sentence_ids])
         return cands.action_ids[cands.truth_index]
 
     def spy_b(state, cands, env):
-        seen["b"].append([env.corpus._turns[1][i] for i in cands.sentence_ids])
+        seen["b"].append([env.corpus.turn_index[1][i] for i in cands.sentence_ids])
         return cands.action_ids[cands.truth_index]
 
     evaluate(net, corpus, cfg, model, vectors, seed=5, policy=spy_a)

@@ -377,6 +377,18 @@ def test_project_centroids_needs_clusters(cli_world, tmp_path, capsys):
     assert "needs --clusters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["sentences", "dialogues"])
+def test_project_vectors_need_corpus(cli_world, tmp_path, capsys, what):
+    # used to end in a TypeError traceback from open(None)
+    root, _, _ = cli_world
+    out = tmp_path / "xy.csv"
+    rc = main(["project", "--what", what,
+               "--embeddings", str(root / "emb6.txt"), "--dim", "6", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --what {what} needs --corpus\n"
+    assert not out.exists()
+
+
 def test_project_centroids_missing_key_is_error(cli_world, tmp_path, capsys):
     root, _, _ = cli_world
     clusters = tmp_path / "no_centroids.json"
@@ -465,6 +477,28 @@ def test_config_that_is_not_an_object_is_error(cli_world, tmp_path, capsys, shap
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be a JSON object" in err
     assert not os.path.exists(d["out_dir"])
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("corpus", 5, "corpus must be a string"),
+    ("test_corpus", 3, "test_corpus must be a string"),
+    ("out_dir", 7, "out_dir must be a string"),
+    ("embeddings", {"6": 5}, "embeddings must be a JSON object of dim -> path string"),
+])
+def test_config_path_that_is_not_a_string_is_error(cli_world, tmp_path, capsys,
+                                                   key, value, message):
+    # each used to end `run` in a TypeError traceback from os.path
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d["out_dir"] = str(tmp_path / "out")
+    d[key] = value
+    bad = root / f"bad_path_{key}.json"
+    bad.write_text(json.dumps(d))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("part, key, value", [

@@ -21,7 +21,7 @@ from chatdqn.clustering import (
     pca_project,
     save_cluster_model,
 )
-from chatdqn.corpus import Dialogue, Turn
+from chatdqn.corpus import Corpus, Dialogue, Turn
 from chatdqn.embeddings import embed_corpus, embed_texts
 
 from conftest import make_table
@@ -330,16 +330,16 @@ def test_fit_seeded_reproducibility():
 # dialogue_vectors
 
 
-def _dlg(*texts):
+def _dlg(*texts, did="d0"):
     turns = tuple(
         Turn(speaker="env" if i % 2 == 0 else "agent", text=t)
         for i, t in enumerate(texts)
     )
-    return Dialogue(id="d0", turns=turns)
+    return Dialogue(id=did, turns=turns)
 
 
 def _dialogue_vector(d, table):
-    (vec,) = dialogue_vectors(*embed_corpus([d], table))
+    (vec,) = dialogue_vectors(*embed_corpus(Corpus([d]), table))
     return vec
 
 
@@ -367,8 +367,9 @@ def test_dialogue_vectors_are_slice_means_of_sentence_rows():
     # bit-identical to stacking each dialogue's own sentence vectors and
     # averaging them, which is how dialogue vectors were first defined
     table = make_table({"a": [1.0, 0.3], "b": [0.1, 1.0], "c": [-0.7, 0.2]})
-    dialogues = [_dlg("a", "b c", "c"), _dlg("b", "a a b", "c a", "b"), _dlg("c", "zzz")]
-    vectors, offsets = embed_corpus(dialogues, table)
+    dialogues = [_dlg("a", "b c", "c", did="d0"), _dlg("b", "a a b", "c a", "b", did="d1"),
+                 _dlg("c", "zzz", did="d2")]
+    vectors, offsets = embed_corpus(Corpus(dialogues), table)
     got = dialogue_vectors(vectors, offsets)
     for i, d in enumerate(dialogues):
         own = np.stack([embed_texts([t.text], table)[0] for t in d.turns])

@@ -307,31 +307,39 @@ def distortion_corpus():
     return Corpus([_dialogue(f"d{i}", 8) for i in range(6)])
 
 
-def _replaced(d, out):
-    """One flag per agent turn of d: did the distortion change its text?"""
-    return [out.turns[i].text != d.turns[i].text for i in d.agent_turn_indices]
+def _own_ids(corpus, d):
+    """d's sentence ids: sentence ids count the corpus's turns in order."""
+    start = sum(len(x.turns) for x in corpus.dialogues[:corpus.index_of(d.id)])
+    return list(range(start, start + len(d.turns)))
+
+
+def _replaced(corpus, d, out):
+    """One flag per agent turn of d: did the distortion change its id?"""
+    own = _own_ids(corpus, d)
+    return [out.sentence_ids[i] != own[i] for i in d.agent_turn_indices]
 
 
 def test_distort_zero_fraction(distortion_corpus):
     d = distortion_corpus.get("d0")
     out = distort_dialogue(d, 0.0, distortion_corpus, np.random.default_rng(0))
     assert out.label == 4  # +#agent turns
-    assert not any(_replaced(d, out))
-    assert out.turns == d.turns
+    assert not any(_replaced(distortion_corpus, d, out))
+    assert list(out.sentence_ids) == _own_ids(distortion_corpus, d)
+    assert _texts(distortion_corpus, out.sentence_ids) == [t.text for t in d.turns]
 
 
 def test_distort_full_fraction(distortion_corpus):
     d = distortion_corpus.get("d0")
     out = distort_dialogue(d, 1.0, distortion_corpus, np.random.default_rng(0))
     assert out.label == -4
-    assert len(_replaced(d, out)) == 4  # one flag per agent turn
-    assert all(_replaced(d, out))
+    assert len(_replaced(distortion_corpus, d, out)) == 4  # one flag per agent turn
+    assert all(_replaced(distortion_corpus, d, out))
 
 
 def test_distort_half_fraction(distortion_corpus):
     d = distortion_corpus.get("d0")  # 4 agent turns
     out = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(1))
-    assert sum(_replaced(d, out)) == 2
+    assert sum(_replaced(distortion_corpus, d, out)) == 2
     assert out.label == 0
 
 
@@ -339,22 +347,40 @@ def test_distort_ceil_rule(distortion_corpus):
     # 4 agent turns, fraction 0.3 -> ceil(1.2) = 2 replacements
     d = distortion_corpus.get("d0")
     out = distort_dialogue(d, 0.3, distortion_corpus, np.random.default_rng(2))
-    assert sum(_replaced(d, out)) == math.ceil(0.3 * 4)
+    assert sum(_replaced(distortion_corpus, d, out)) == math.ceil(0.3 * 4)
     assert out.label == 4 - 2 * 2
 
 
 def test_distort_never_touches_env_turns(distortion_corpus):
     d = distortion_corpus.get("d1")
+    own = _own_ids(distortion_corpus, d)
     agent_idx = [i for i in range(len(d.turns)) if i % 2 == 1]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         out = distort_dialogue(d, frac, distortion_corpus,
                                np.random.default_rng(3))
-        assert len(out.turns) == len(d.turns)
+        assert len(out.sentence_ids) == len(d.turns)
         for i in range(0, len(d.turns), 2):
-            assert out.turns[i] == d.turns[i]
-        # the label counts exactly the agent turns whose text changed
-        replaced = sum(out.turns[i].text != d.turns[i].text for i in agent_idx)
-        assert out.label == len(agent_idx) - 2 * replaced
+            assert out.sentence_ids[i] == own[i]
+        # the label counts exactly the agent turns whose id changed, and
+        # every replacement is a sentence of another dialogue
+        replaced = [out.sentence_ids[i] for i in agent_idx if out.sentence_ids[i] != own[i]]
+        assert out.label == len(agent_idx) - 2 * len(replaced)
+        assert not set(replaced) & set(own)
+
+
+def test_distort_draws_turns_then_distractors(distortion_corpus):
+    # the reward study's datasets depend on this draw order: the replaced
+    # agent turns first, then `sample_distractors`, which fill them in
+    # ascending turn order
+    d = distortion_corpus.get("d3")
+    out = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    chosen = sorted(rng.choice(4, size=2, replace=False).tolist())
+    picks = sample_distractors(distortion_corpus, "d3", 2, rng)
+    want = _own_ids(distortion_corpus, d)
+    for pos, p in zip(chosen, picks):
+        want[d.agent_turn_indices[pos]] = p
+    assert list(out.sentence_ids) == want
 
 
 def test_distort_label_antisymmetry(distortion_corpus):
@@ -370,4 +396,4 @@ def test_distort_reproducible(distortion_corpus):
     d = distortion_corpus.get("d2")
     a = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(9))
     b = distort_dialogue(d, 0.5, distortion_corpus, np.random.default_rng(9))
-    assert a.turns == b.turns and a.label == b.label
+    assert a.sentence_ids == b.sentence_ids and a.label == b.label

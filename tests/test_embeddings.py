@@ -82,7 +82,7 @@ def test_embed_bounded_by_max_coefficient():
     rng = np.random.default_rng(1)
     words = {f"w{i}": rng.normal(size=5).tolist() for i in range(8)}
     table = make_table(words)
-    bound = np.abs(table.matrix).max()
+    bound = np.abs([table.lookup(tok) for tok in table.tokens]).max()
     vec = embed_texts([" ".join(words)], table)
     assert np.all(np.abs(vec) <= bound + 1e-12)
 
@@ -113,6 +113,7 @@ def test_embed_corpus_rows_and_offsets():
     corpus = Corpus([dlg("x", "a", "b", "a b"), dlg("y", "b", "a")])
     vectors, offsets = embed_corpus(corpus, table)
     assert list(offsets) == [0, 3, 5]
+    assert offsets == corpus.turn_index[0]
     texts = [t.text for d in corpus for t in d.turns]
     np.testing.assert_array_equal(vectors, embed_texts(texts, table))
 
@@ -177,10 +178,11 @@ def test_table_refuses_malformed_input(tokens, rows, why):
         WordEmbeddingTable(tokens, np.array(rows))
 
 
-def test_table_matrix_is_read_only():
+def test_table_lookup_is_read_only():
     table = make_table({"a": [1.0, 0.0]})
     with pytest.raises(ValueError):
-        table.matrix[0, 0] = 2.0
+        table.lookup("a")[0] = 2.0
+    assert table.lookup("a")[0] == 1.0
 
 
 def test_load_embeddings_roundtrip(tmp_path):

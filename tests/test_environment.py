@@ -36,7 +36,7 @@ def _texts(env, state):
 
 def _sentences(env, cands):
     """Candidate texts, read through the corpus's turn index."""
-    return [env.corpus._turns[1][i] for i in cands.sentence_ids]
+    return [env.corpus.turn_index[1][i] for i in cands.sentence_ids]
 
 
 # ---------------------------------------------------------------------------

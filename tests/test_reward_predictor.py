@@ -30,11 +30,17 @@ def tiny_world():
     return table, corpus
 
 
-def _examples(distorted, table, h):
-    """(X, lengths, y): the h-prefix view of the distorted dialogues, as the
-    history-length study builds it."""
-    X, lengths = history_prefixes(*embed_corpus(distorted, table), h)
+def _examples(corpus, distorted, table, h):
+    """(X, lengths, y): the h-prefix view of the corpus's distorted
+    dialogues, as the history-length study builds it."""
+    X, lengths = history_prefixes(embed_corpus(corpus, table)[0], distorted, h)
     return X, lengths, np.array([dd.label for dd in distorted], dtype=np.float64)
+
+
+def _own_ids(corpus, d):
+    """d's sentence ids: sentence ids count the corpus's turns in order."""
+    start = sum(len(x.turns) for x in corpus.dialogues[:corpus.index_of(d.id)])
+    return tuple(range(start, start + len(d.turns)))
 
 
 # ------------------------------------------------------------ datasets
@@ -44,7 +50,7 @@ def test_dataset_count_is_dialogues_times_fractions(tiny_world):
     rng = np.random.default_rng(0)
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS, rng)
     assert len(distorted) == 10 * 5
-    X, lengths, y = _examples(distorted, table, h=5)
+    X, lengths, y = _examples(corpus, distorted, table, h=5)
     assert X.shape == (50, 5, table.dim)
     assert lengths.shape == y.shape == (50,)
 
@@ -54,7 +60,7 @@ def test_phi_zero_target_is_agent_turn_count(tiny_world):
     distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(1))
     for d, dd in zip(corpus, distorted):
         assert dd.label == d.n_agent_turns
-        assert dd.turns == d.turns
+        assert dd.sentence_ids == _own_ids(corpus, d)
 
 
 def test_labels_match_mask_arithmetic(tiny_world):
@@ -65,7 +71,8 @@ def test_labels_match_mask_arithmetic(tiny_world):
     originals = [d for d in corpus for _ in DISTORTION_FRACTIONS]
     for d, dd in zip(originals, distorted, strict=True):
         n = d.n_agent_turns
-        k = sum(dd.turns[i].text != d.turns[i].text for i in d.agent_turn_indices)
+        own = _own_ids(corpus, d)
+        k = sum(dd.sentence_ids[i] != own[i] for i in d.agent_turn_indices)
         assert dd.label == (n - k) - k
 
 
@@ -85,18 +92,18 @@ def test_h1_histories_are_prefixes_of_h50(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS,
                                np.random.default_rng(4))
-    X1, len1, y1 = _examples(distorted, table, h=1)
-    X50, len50, y50 = _examples(distorted, table, h=50)
+    X1, len1, y1 = _examples(corpus, distorted, table, h=1)
+    X50, len50, y50 = _examples(corpus, distorted, table, h=50)
     np.testing.assert_array_equal(y1, y50)
     np.testing.assert_array_equal(X1[:, 0], X50[:, 0])
     assert np.all(len1 == 1)
-    assert list(len50) == [len(dd.turns) for dd in distorted]
+    assert list(len50) == [len(dd.sentence_ids) for dd in distorted]
 
 
 def test_example_rows_match_sentence_embedding(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(5))
-    X, _, _ = _examples(distorted[:1], table, h=3)
+    X, _, _ = _examples(corpus, distorted[:1], table, h=3)
     d = corpus.dialogues[0]
     want = embed_texts([t.text for t in d.turns[:3]], table)
     np.testing.assert_array_equal(X[0], want)
@@ -107,7 +114,7 @@ def test_examples_pad_short_dialogues_with_zeros(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(6))
     n_turns = len(corpus.dialogues[0].turns)
-    X, lengths, _ = _examples(distorted[:1], table, h=n_turns + 7)
+    X, lengths, _ = _examples(corpus, distorted[:1], table, h=n_turns + 7)
     assert lengths[0] == n_turns
     assert np.all(X[0, n_turns:] == 0.0)
 
@@ -115,9 +122,10 @@ def test_examples_pad_short_dialogues_with_zeros(tiny_world):
 def test_prefixes_pad_to_longest_dialogue_within_h(tiny_world):
     table, corpus = tiny_world
     longest = max(len(d.turns) for d in corpus)
-    emb = embed_corpus(corpus, table)
+    vectors, _ = embed_corpus(corpus, table)
+    distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(7))
     for h in (1, longest - 1, longest, longest + 1, 50):
-        X, lengths = history_prefixes(*emb, h)
+        X, lengths = history_prefixes(vectors, distorted, h)
         assert X.shape == (len(corpus), min(h, longest), table.dim)
         assert lengths.max() == min(h, longest)
 
@@ -140,8 +148,8 @@ def test_study_rows_same_as_padding_to_h(tiny_world, monkeypatch):
     trimmed = run()
     trim = rp.history_prefixes
 
-    def pad_to_h(vectors, offsets, h):
-        X, lengths = trim(vectors, offsets, h)
+    def pad_to_h(vectors, distorted, h):
+        X, lengths = trim(vectors, distorted, h)
         full = np.zeros((X.shape[0], h, X.shape[2]))
         full[:, : X.shape[1]] = X
         return full, lengths
@@ -152,8 +160,9 @@ def test_study_rows_same_as_padding_to_h(tiny_world, monkeypatch):
 
 def test_h_must_be_positive(tiny_world):
     table, corpus = tiny_world
+    distorted = distort_corpus(corpus, (0.0,), np.random.default_rng(8))
     with pytest.raises(ValueError):
-        history_prefixes(*embed_corpus(corpus, table), h=0)
+        history_prefixes(embed_corpus(corpus, table)[0], distorted, h=0)
 
 
 # ------------------------------------------------------------- pearson
@@ -203,7 +212,7 @@ def test_single_example_overfit(tiny_world):
     # running statistics degenerate, which is correct but uninformative
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.5,), np.random.default_rng(10))
-    X, lengths, y = _examples(distorted[:1], table, h=5)
+    X, lengths, y = _examples(corpus, distorted[:1], table, h=5)
     cfg = PredictorConfig(hidden_dim=12, batch_size=2,
                           epochs=200, runs=1, learning_rate=0.05, seed=0)
     model = train_predictor(X, lengths, y, cfg)
@@ -220,7 +229,7 @@ def test_regressor_batch_stays_in_the_networks_dtype(tiny_world, monkeypatch, dt
     # the regressor's dtype (float64 by casting the regressor it builds)
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0, 0.5), np.random.default_rng(12))
-    X, lengths, y = _examples(distorted, table, h=4)
+    X, lengths, y = _examples(corpus, distorted, table, h=4)
     cfg = PredictorConfig(hidden_dim=5, batch_size=len(y), epochs=1, runs=1, seed=2)
     steps = []
 
@@ -251,7 +260,7 @@ def test_regressor_batch_stays_in_the_networks_dtype(tiny_world, monkeypatch, dt
 def test_constant_targets_learn_constant(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0, 0.0), np.random.default_rng(11))
-    X, lengths, y = _examples(distorted, table, h=4)
+    X, lengths, y = _examples(corpus, distorted, table, h=4)
     const = 3
     y[:] = const
     cfg = PredictorConfig(hidden_dim=10, batch_size=8,
@@ -265,7 +274,7 @@ def test_train_predictor_deterministic(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, DISTORTION_FRACTIONS,
                                np.random.default_rng(12))
-    examples = _examples(distorted, table, h=5)
+    examples = _examples(corpus, distorted, table, h=5)
     cfg = PredictorConfig(hidden_dim=8, batch_size=16,
                           epochs=3, runs=1, learning_rate=1e-3, seed=21)
     m1 = train_predictor(*examples, cfg)
@@ -279,7 +288,7 @@ def test_train_predictor_deterministic(tiny_world):
 def test_different_seeds_differ(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.5,), np.random.default_rng(13))
-    examples = _examples(distorted, table, h=3)
+    examples = _examples(corpus, distorted, table, h=3)
     base = PredictorConfig(hidden_dim=8, batch_size=8,
                            epochs=2, runs=1, seed=0)
     other = PredictorConfig(hidden_dim=8, batch_size=8,
@@ -301,7 +310,7 @@ def test_empty_dataset_rejected():
 def test_predict_shape_and_finiteness(tiny_world):
     table, corpus = tiny_world
     distorted = distort_corpus(corpus, (0.0, 1.0), np.random.default_rng(14))
-    X, lengths, y = _examples(distorted, table, h=4)
+    X, lengths, y = _examples(corpus, distorted, table, h=4)
     cfg = PredictorConfig(hidden_dim=6, batch_size=8,
                           epochs=1, runs=1, seed=2)
     model = train_predictor(X, lengths, y, cfg)
@@ -356,6 +365,26 @@ def test_study_shape_and_aggregates(tiny_world):
         assert r.mean_r == pytest.approx(float(np.mean(r.scores)))
         assert r.std_r == pytest.approx(float(np.std(r.scores)))
         assert all(-1.0 <= s <= 1.0 for s in r.scores)
+
+
+def test_study_embeds_each_corpus_once(tiny_world, monkeypatch):
+    # the distorted dialogues are sentence ids of their corpus, so the study
+    # embeds the two corpora and nothing else
+    import chatdqn.reward_predictor as rp
+
+    table, _ = tiny_world
+    train_c = make_toy_corpus(6, topics=range(4), seed=19, id_prefix="tr")
+    test_c = make_toy_corpus(3, topics=range(4), seed=20, id_prefix="te")
+    embedded = []
+
+    def recording(corpus, table):
+        embedded.append(corpus)
+        return embed_corpus(corpus, table)
+
+    monkeypatch.setattr(rp, "embed_corpus", recording)
+    cfg = PredictorConfig(hidden_dim=4, batch_size=8, epochs=1, runs=1, seed=5)
+    history_length_study(train_c, test_c, table, cfg, lengths=(1, 3), fractions=(0.0, 1.0))
+    assert embedded == [train_c, test_c]
 
 
 def test_study_needs_two_lengths(tiny_world):

@@ -2,7 +2,8 @@
 must be referenced in `src/`, `demos/` or `bench/` outside its own
 definition. Tests do not count, so code that only tests read fails here.
 Every per-layer row of `BENCHMARK.json` names a callable the benchmark's
-tracer wraps, so a rename cannot leave a row reading 0 unnoticed."""
+tracer wraps, so a rename cannot leave a row reading 0 unnoticed. No module
+in `src/` or `demos/` reads another module's private name."""
 
 import ast
 import dataclasses
@@ -107,3 +108,31 @@ def test_benchmark_layer_rows_name_traced_callables():
     assert layered
     dead = {name for name in layered if not _traced_layer(name.rsplit(".", 1)[0])}
     assert dead == DEAD_LAYER_ROWS
+
+
+def _private_reads(tree):
+    """(line, name) of each `x._name` that `tree` reads, where `x` is not
+    `self` or `cls`, `_name` is not a dunder, and the file itself defines
+    nothing called `_name` (a function, class, variable or attribute)."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                and node.attr not in defined):
+            yield node.lineno, node.attr
+
+
+def test_no_module_reads_another_modules_private_name():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path, tree in TREES if path.relative_to(ROOT).parts[0] in ("src", "demos")
+             for line, name in _private_reads(tree)]
+    assert found == []
