@@ -117,6 +117,8 @@ class ExperimentConfig:
         require_field_types(self)
         if self.k_splits < 1:
             raise ValueError("k_splits must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dims(self) -> tuple:
@@ -147,8 +149,20 @@ class ExperimentConfig:
             kwargs["predictor"] = PredictorConfig(**d.get("predictor", {}))
         except TypeError as exc:
             raise ValueError(f"bad agent/predictor config: {exc}") from None
-        kwargs["embeddings"] = {int(k): v for k, v in emb.items()}
+        kwargs["embeddings"] = {_embedding_dim(k): v for k, v in emb.items()}
         return cls(**kwargs)
+
+
+def _embedding_dim(key) -> int:
+    """A config `embeddings` key as an embedding size: a positive integer."""
+    try:
+        dim = int(key)
+    except (TypeError, ValueError):
+        dim = 0
+    if dim < 1:
+        raise ValueError(f"config embeddings key must be a positive integer "
+                         f"embedding size, got {key!r}")
+    return dim
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -174,9 +188,10 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     if os.environ.get(SEED_ENV_VAR):
         raw = os.environ[SEED_ENV_VAR]
         try:
-            cfg.seed = int(raw)
+            seed = int(raw)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        cfg = replace(cfg, seed=seed)  # checked as a config seed is
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):

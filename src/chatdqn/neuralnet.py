@@ -6,7 +6,7 @@ normalization, a dense head, mean-squared losses, and an Adam optimizer.
 Everything is driven by explicit, seeded `numpy.random.Generator` streams.
 
 A network computes in the dtype of its own parameters: its layers allocate
-their buffers in that dtype and cast their input batch to it once, and
+their buffers in that dtype and cast their input cells to it once, and
 `sigmoid`, `dropout` and batch norm follow the dtype of their input.
 Parameters are initialized in float64 from the rng streams;
 `_Network.astype` makes a copy in another dtype. The pipeline trains
@@ -14,15 +14,20 @@ float32 networks (agent.ChatDQNAgent, reward_predictor.train_predictor)
 and keeps its target network in float64; the gradient checks build
 float64 networks.
 
-Sequence batches are (B, T, D) with a per-row `lengths` vector; steps at or
-past a row's length are frozen (the hidden state is carried through
-unchanged), so padding can never influence outputs or gradients, and the
-hidden state at the last time index always equals each row's final hidden
-state. `pad_batch` is the one builder of such batches, for the Q-network's
-dialogue-history states and the reward study's history prefixes alike; its
-T is max(1, longest row), and both networks run to max(1, longest) steps,
-so a row of length 0 (or a batch of them) goes through the same frozen-row
-path and leaves the zero initial state.
+Sequence batches are (B, T, D) with a per-row `lengths` vector, and a GRU
+computes only their valid cells. It takes the rows longest first (a stable
+sort, skipped for a batch already in that order, as a single row or rows of
+equal length are), lays the valid cells out time-major, so that step t is
+one contiguous block of the rows still active, and writes each step's
+states back to the rows' own places. Padding therefore never influences
+outputs or gradients. In the returned (B, T, h) hidden states a step at or
+past a row's length repeats the row's final state, so the last time index
+always holds each row's final hidden state, and upstream gradient on such a
+cell reaches the row's last valid step. `pad_batch` is the one function
+that makes such batches, for the Q-network's dialogue-history states and
+the reward study's history prefixes alike; its T is max(1, longest row),
+and both networks run to max(1, longest) steps, so a row of length 0 (or a
+batch of them) takes no step and leaves the zero initial state.
 
 GRU update, per step (sigma = logistic):
 
@@ -33,14 +38,18 @@ GRU update, per step (sigma = logistic):
 
 A GRU layer keeps its per-gate parameters (`W_z` ... `b_h`) but runs them
 stacked: one GEMM computes the input projections X @ [W_z; W_r; W_h]^T + b
-of all T steps into a single (B, T, 3h) gate buffer, and each step then
+of all valid cells into a single (cells, 3h) gate buffer, and each step then
 needs one [U_z; U_r] GEMM, one `sigmoid` call for z and r together, and the
-U_h GEMM, after which it overwrites its slot of the buffer with [z r h~].
-The backward pass walks the steps in reverse and overwrites each slot again
-with the gate pre-activation gradients, so dW, db and dX each take one GEMM
-after the loop. Because of that overwrite a cache serves exactly one
-backward pass; the hidden state entering step t is read from H[:, t - 1],
-since a frozen step carries it.
+U_h GEMM on its active rows, after which it overwrites its rows of the
+buffer with [z r h~]. The backward pass walks the steps in reverse and
+overwrites each step's rows again with the gate pre-activation gradients,
+so dW, db and dX each take one GEMM after the loop, and so do dU_zr and dU_h
+over the cells past step 0. Because of that overwrite a cache serves
+exactly one backward pass. A batch of one row, as every acting and
+greedy-evaluation call is, gets the same hidden states, bit for bit, as a
+loop over all padded cells; a ragged batch can differ from that loop in the
+last bits, because its GEMMs run on fewer rows, and so can the recurrent
+weight gradients, which sum over the steps in one GEMM.
 """
 
 from __future__ import annotations
@@ -137,14 +146,45 @@ def _check_gru_shapes(p: dict, x_dim: int, h_dim: int) -> None:
         )
 
 
+def _packing(lengths: np.ndarray, T: int):
+    """How a padded batch of these row lengths packs: (order, steps, cells).
+
+    `order` is the stable sort of the rows by length, descending, or None for
+    a batch already in that order (B = 1, equal lengths); in sorted order the
+    rows active at step t are the first `steps[t]`. `cells` indexes the
+    valid (row, step) cells of the padded batch time-major, step by step and
+    in sorted order within a step, or is None when every row runs all T
+    steps, whose packed layout is the batch with its first two axes swapped.
+    """
+    B = len(lengths)
+    order = None
+    if B > 1 and (lengths[1:] > lengths[:-1]).any():
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+    if B == 0 or lengths[-1] >= T:
+        return order, [B] * T, None
+    valid = np.arange(T)[:, None] < lengths  # (T, B), sorted rows
+    ts, rows = np.nonzero(valid)
+    cells = (rows if order is None else order[rows], ts)
+    return order, np.count_nonzero(valid, axis=1).tolist(), cells
+
+
+def _pack(A: np.ndarray, cells) -> np.ndarray:
+    """The valid cells of a padded (B, T, F) array, time-major: (N, F)."""
+    if cells is None:
+        return A.swapaxes(0, 1).reshape(-1, A.shape[2])
+    return A[cells]
+
+
 def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
     """Run a GRU layer over a padded batch.
 
     X: (B, T, D); lengths: (B,) ints in [0, T]. Returns (H, cache) with
     H[:, t] the hidden state after step t (frozen once t >= lengths[b]).
-    The layer computes in the dtype of p's weights and casts X to it once.
-    The cache holds the gate buffer that `gru_backward` overwrites, so it
-    serves exactly one backward pass.
+    The layer computes in the dtype of p's weights, and only on the valid
+    cells: the rows are taken longest first, and step t runs on the rows
+    still active. The cache holds the gate buffer that `gru_backward`
+    overwrites, so it serves exactly one backward pass.
     """
     B, T, D = X.shape
     hd = p["W_z"].shape[0]
@@ -152,31 +192,31 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
     W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]))  # (3h, D)
     U_zr = np.concatenate((p["U_z"], p["U_r"]))         # (2h, h)
     U_h = p["U_h"]
-    X = np.ascontiguousarray(X, dtype=W.dtype)
-    lengths = np.asarray(lengths)
-    # G[:, t] = [a_z a_r a_h] input pre-activations, then [z r h~]
-    G = np.empty((B, T, 3 * hd), dtype=W.dtype)
-    np.matmul(X.reshape(B * T, D), W.T, out=G.reshape(B * T, 3 * hd))
+    order, steps, cells = _packing(np.asarray(lengths), T)
+    # G: one row per valid cell, step t's rows after step t - 1's; each row
+    # holds [a_z a_r a_h] input pre-activations, then [z r h~]
+    G = _pack(X, cells).astype(W.dtype, copy=False) @ W.T
     G += np.concatenate((p["b_z"], p["b_r"], p["b_h"]))
     H = np.empty((B, T, hd), dtype=W.dtype)
-    active = np.arange(T)[None, :] < lengths[:, None]
-    all_active = int(lengths.min()) if B else T  # steps below this skip the mask
-    h = np.zeros((B, hd), dtype=W.dtype)
-    for t in range(T):
-        g = G[:, t]
+    h = np.zeros((B, hd), dtype=W.dtype)  # sorted rows; frozen ones keep their state
+    rows = slice(None) if order is None else order  # where each sorted row goes in H
+    start = 0
+    for t, n in enumerate(steps):
+        g = G[start : start + n]
+        start += n
         a_zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
+        h_act = h[:n]
         if t:  # h = 0 at t = 0: the recurrent terms vanish
-            a_zr += h @ U_zr.T
+            a_zr += h_act @ U_zr.T
         zr = sigmoid(a_zr)
         a_zr[...] = zr
         z, r = zr[:, :hd], zr[:, hd:]
         if t:
-            h_til += (r * h) @ U_h.T
+            h_til += (r * h_act) @ U_h.T
         np.tanh(h_til, out=h_til)
-        h_new = h + z * (h_til - h)
-        h = h_new if t < all_active else np.where(active[:, t, None], h_new, h)
-        H[:, t] = h
-    cache = {"X": X, "G": G, "H": H, "active": active, "all_active": all_active,
+        h_act += z * (h_til - h_act)
+        H[rows, t] = h
+    cache = {"X": X, "G": G, "H": H, "order": order, "steps": steps, "cells": cells,
              "W": W, "U_zr": U_zr, "U_h": U_h}
     return H, cache
 
@@ -184,53 +224,70 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
 def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
     """Backprop through `gru_forward`, consuming its cache.
 
-    dH: (B, T, h) upstream gradients on each H[:, t] (zeros where none).
+    dH: (B, T, h) upstream gradients on each H[:, t] (zeros where none); a
+    frozen cell's gradient flows to its row's last valid step.
     Returns (grads, dX): parameter-gradient dict with the layer's key names,
-    and the gradient w.r.t. the input batch, or None with input_grad=False
-    (a first layer, whose input has no parameters). Each step's slot of the
-    gate buffer is overwritten with its pre-activation gradients, which then
-    give dW, db and dX as one GEMM each; a second call on the same cache
-    raises.
+    and the (B, T, D) gradient w.r.t. the input batch, zero on padding, or
+    None with input_grad=False (a first layer, whose input has no
+    parameters). The steps run in reverse over the forward's packed cells;
+    each step's rows of the gate buffer are overwritten with their
+    pre-activation gradients, which then give dW, db, dX, dU_zr and dU_h as
+    one GEMM each; a second call on the same cache raises.
     """
     G = cache.pop("G", None)
     if G is None:
         raise ValueError("GRU cache already consumed by a backward pass")
-    X, H, active, all_active = cache["X"], cache["H"], cache["active"], cache["all_active"]
+    X, H, order, steps, cells = (cache[k] for k in ("X", "H", "order", "steps", "cells"))
     W, U_zr, U_h = cache["W"], cache["U_zr"], cache["U_h"]
     B, T, D = X.shape
     hd = U_h.shape[0]
-    dU_zr = np.zeros_like(U_zr)
-    dU_h = np.zeros_like(U_h)
-    gh = np.zeros((B, hd), dtype=G.dtype)
+    if order is not None:  # sorted rows, as the forward ran them
+        H, dH = H[order], dH[order]
+    # the recurrent inputs h_prev and r * h_prev of every cell past step 0,
+    # for one dU GEMM each after the loop
+    n0 = steps[0]
+    HP = np.empty((len(G) - n0, hd), dtype=G.dtype)
+    RHP = np.empty_like(HP)
+    gh = np.zeros((B, hd), dtype=G.dtype)  # frozen rows accumulate, untouched
+    end = len(G)
     for t in range(T - 1, -1, -1):
         gh += dH[:, t]
-        g = G[:, t]
+        n = steps[t]
+        g = G[end - n : end]
+        end -= n
         zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
         z, r = zr[:, :hd], zr[:, hd:]
-        # a frozen step passes gh through untouched: h_t was h_{t-1}
-        m = None if t < all_active else active[:, t, None]
-        gm = gh if m is None else gh * m
+        gm = gh[:n]
         da_h = gm * z * (1.0 - h_til * h_til)
         dzr = zr * (1.0 - zr)
         if t == 0:  # h_prev = 0: no dU terms, no r gradient, nothing upstream
             dzr[:, :hd] *= gm * h_til
             dzr[:, hd:] = 0.0
         else:
-            h_prev = H[:, t - 1]
+            past = slice(end - n0, end - n0 + n)  # this step's rows of HP and RHP
+            h_prev = HP[past]
+            h_prev[...] = H[:n, t - 1]
+            np.multiply(r, h_prev, out=RHP[past])
             drh = da_h @ U_h
             dzr[:, :hd] *= gm * (h_til - h_prev)
             dzr[:, hd:] *= drh * h_prev
-            dU_h += da_h.T @ (r * h_prev)
-            dU_zr += dzr.T @ h_prev
             dh_prev = gm * (1.0 - z) + drh * r
             dh_prev += dzr @ U_zr
-            gh = dh_prev if m is None else np.where(m, dh_prev, gh)
+            gh[:n] = dh_prev
         g[:, : 2 * hd] = dzr
         g[:, 2 * hd :] = da_h
-    dA = G.reshape(B * T, 3 * hd)
-    dW = dA.T @ X.reshape(B * T, D)
-    db = dA.sum(axis=0)
-    dX = (dA @ W).reshape(B, T, D) if input_grad else None
+    dU_zr = G[n0:, : 2 * hd].T @ HP
+    dU_h = G[n0:, 2 * hd :].T @ RHP
+    dW = G.T @ _pack(X, cells).astype(G.dtype, copy=False)
+    db = G.sum(axis=0)
+    dX = None
+    if input_grad:
+        dXp = G @ W
+        if cells is None:
+            dX = dXp.reshape(T, B, D).swapaxes(0, 1)
+        else:
+            dX = np.zeros((B, T, D), dtype=G.dtype)
+            dX[cells] = dXp
     grads = {}
     for i, gate in enumerate(("z", "r", "h")):
         rows = slice(i * hd, (i + 1) * hd)

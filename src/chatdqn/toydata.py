@@ -61,6 +61,8 @@ def make_toy_corpus(
     if n_dialogues < 1 or not topics:
         raise ValueError("need at least one dialogue and one topic")
     rng = np.random.default_rng([seed, 42])
+    vocab = {int(t): [_topic_word(int(t), w) for w in range(words_per_topic)]
+             for t in topics}
     dialogues = []
     for i in range(n_dialogues):
         topic = int(topics[int(rng.integers(len(topics)))])
@@ -70,10 +72,9 @@ def make_toy_corpus(
         turns = []
         for j in range(n_turns):
             n_words = int(rng.integers(3, 7))  # 3 to 6 words
-            words = [
-                _topic_word(topic, int(rng.integers(words_per_topic)))
-                for _ in range(n_words)
-            ]
+            # one draw of n_words values: the same stream as n scalar draws
+            words = [vocab[topic][w]
+                     for w in rng.integers(words_per_topic, size=n_words).tolist()]
             speaker = ENV if j % 2 == 0 else AGENT
             turns.append(Turn(speaker=speaker, text=" ".join(words)))
         d = Dialogue(id=f"{id_prefix}-{i:04d}", turns=tuple(turns))

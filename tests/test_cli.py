@@ -463,6 +463,26 @@ def test_non_integer_seed_or_k_splits_is_error(cli_world, tmp_path, capsys, key,
     assert not os.path.exists(d["out_dir"])
 
 
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_negative_seed_is_error(cli_world, tmp_path, capsys, monkeypatch, source):
+    # both used to run ingest and embed, write their markers, and then fail
+    # in cluster_sentences with numpy's "expected non-negative integer"
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d["out_dir"] = str(tmp_path / "out")
+    if source == "config":
+        d["seed"] = -1
+    else:
+        monkeypatch.setenv("CHATDQN_SEED", "-1")
+    bad = root / f"bad_negative_seed_{source}.json"
+    bad.write_text(json.dumps(d))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+    assert not os.path.exists(d["out_dir"])
+
+
 @pytest.mark.parametrize("shape", ["top_level_list", "embeddings_list"])
 def test_config_that_is_not_an_object_is_error(cli_world, tmp_path, capsys, shape):
     # both used to end `run` in an AttributeError traceback
@@ -498,6 +518,25 @@ def test_config_path_that_is_not_a_string_is_error(cli_world, tmp_path, capsys,
     assert main(["run", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("key", ["x", "0", "-5", "6.0"])
+def test_config_embeddings_key_that_is_not_a_positive_integer_is_error(
+        cli_world, tmp_path, capsys, key):
+    # "x" used to end `run` in a bare "invalid literal for int()", which
+    # named neither the field nor the key; "0" and "-5" loaded as sizes
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d["out_dir"] = str(tmp_path / "out")
+    d["embeddings"] = {key: "emb6.txt"}
+    bad = root / "bad_embeddings_key.json"
+    bad.write_text(json.dumps(d))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "embeddings key must be a positive integer" in err and repr(key) in err
     assert not os.path.exists(tmp_path / "out")
 
 

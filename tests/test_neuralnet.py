@@ -455,6 +455,166 @@ def test_gru_backward_consumes_its_cache():
         gru_backward(cache, np.ones_like(H))
 
 
+# ---------------------------------------------------------------------------
+# packed batches: rows sorted by length, each step on the rows still active
+
+
+def padded_gru_forward(p, X, lengths):
+    """The padded GRU loop that packing replaced, kept as a reference: every
+    step computes all B rows, and rows past their length are masked back to
+    their previous state. Returns H and what `padded_gru_backward` reads."""
+    B, T, D = X.shape
+    hd = p["W_z"].shape[0]
+    W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]))
+    U_zr = np.concatenate((p["U_z"], p["U_r"]))
+    U_h = p["U_h"]
+    X = np.ascontiguousarray(X, dtype=W.dtype)
+    G = np.empty((B, T, 3 * hd), dtype=W.dtype)
+    np.matmul(X.reshape(B * T, D), W.T, out=G.reshape(B * T, 3 * hd))
+    G += np.concatenate((p["b_z"], p["b_r"], p["b_h"]))
+    H = np.empty((B, T, hd), dtype=W.dtype)
+    active = np.arange(T)[None, :] < lengths[:, None]
+    all_active = int(lengths.min()) if B else T
+    h = np.zeros((B, hd), dtype=W.dtype)
+    for t in range(T):
+        g = G[:, t]
+        a_zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
+        if t:
+            a_zr += h @ U_zr.T
+        zr = sigmoid(a_zr)
+        a_zr[...] = zr
+        z, r = zr[:, :hd], zr[:, hd:]
+        if t:
+            h_til += (r * h) @ U_h.T
+        np.tanh(h_til, out=h_til)
+        h_new = h + z * (h_til - h)
+        h = h_new if t < all_active else np.where(active[:, t, None], h_new, h)
+        H[:, t] = h
+    return H, (X, G, H, active, all_active, W, U_zr, U_h)
+
+
+def padded_gru_backward(state, dH):
+    X, G, H, active, all_active, W, U_zr, U_h = state
+    B, T, D = X.shape
+    hd = U_h.shape[0]
+    dU_zr, dU_h = np.zeros_like(U_zr), np.zeros_like(U_h)
+    gh = np.zeros((B, hd), dtype=G.dtype)
+    for t in range(T - 1, -1, -1):
+        gh += dH[:, t]
+        g = G[:, t]
+        zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
+        z, r = zr[:, :hd], zr[:, hd:]
+        m = None if t < all_active else active[:, t, None]
+        gm = gh if m is None else gh * m
+        da_h = gm * z * (1.0 - h_til * h_til)
+        dzr = zr * (1.0 - zr)
+        if t == 0:
+            dzr[:, :hd] *= gm * h_til
+            dzr[:, hd:] = 0.0
+        else:
+            h_prev = H[:, t - 1]
+            drh = da_h @ U_h
+            dzr[:, :hd] *= gm * (h_til - h_prev)
+            dzr[:, hd:] *= drh * h_prev
+            dU_h += da_h.T @ (r * h_prev)
+            dU_zr += dzr.T @ h_prev
+            dh_prev = gm * (1.0 - z) + drh * r
+            dh_prev += dzr @ U_zr
+            gh = dh_prev if m is None else np.where(m, dh_prev, gh)
+        g[:, : 2 * hd] = dzr
+        g[:, 2 * hd :] = da_h
+    dA = G.reshape(B * T, 3 * hd)
+    dW, db = dA.T @ X.reshape(B * T, D), dA.sum(axis=0)
+    grads = {"U_z": dU_zr[:hd], "U_r": dU_zr[hd:], "U_h": dU_h}
+    for i, gate in enumerate(("z", "r", "h")):
+        grads[f"W_{gate}"], grads[f"b_{gate}"] = dW[i * hd:(i + 1) * hd], db[i * hd:(i + 1) * hd]
+    return grads, (dA @ W).reshape(B, T, D)
+
+
+# unsorted, with tied lengths and a length-0 row
+RAGGED_LENGTHS = [3, 0, 5, 3, 1, 5, 2]
+
+
+def test_packed_gru_unsorted_ragged_batch_matches_scalar_reference():
+    rng = np.random.default_rng(44)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    H, _ = gru_forward(p, X, lengths)
+    assert H.shape == (7, 5, 4)
+    for i, n in enumerate(RAGGED_LENGTHS):
+        np.testing.assert_allclose(H[i], ref_gru_sequence(p, X[i], n), rtol=0, atol=1e-12)
+        for t in range(n, 5):  # frozen cells repeat the final state, bit for bit
+            np.testing.assert_array_equal(H[i, t], H[i, n - 1] if n else np.zeros(4))
+
+
+def test_packed_gru_row_permutation_permutes_h_and_dx():
+    rng = np.random.default_rng(45)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    dH = rng.normal(size=(7, 5, 4))
+    H, cache = gru_forward(p, X, lengths)
+    grads, dX = gru_backward(cache, dH)
+    for perm in (rng.permutation(7), np.argsort(lengths, kind="stable")):
+        Hp, cache = gru_forward(p, X[perm], lengths[perm])
+        grads_p, dXp = gru_backward(cache, dH[perm])
+        np.testing.assert_allclose(Hp, H[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dXp, dX[perm], rtol=0, atol=1e-12)
+        for name in grads:
+            np.testing.assert_allclose(grads_p[name], grads[name], rtol=0, atol=1e-12)
+
+
+def test_gru_backward_gradcheck_upstream_only_on_frozen_cells():
+    # every row's gradient enters on the steps past its length and must
+    # reach its last valid step; the full-length rows get none
+    rng = np.random.default_rng(46)
+    p = init_gru_params(rng, 3, 4)
+    for k in ("b_z", "b_r", "b_h"):
+        p[k][...] = rng.normal(size=4) * 0.5
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    frozen = np.arange(5)[None, :] >= lengths[:, None]
+    dH = rng.normal(size=(7, 5, 4)) * frozen[:, :, None]
+
+    def loss_fn():
+        H, cache = gru_forward(p, X, lengths)
+        grads, dX = gru_backward(cache, dH)
+        return float(np.sum(dH * H)), {**grads, "X": dX}
+
+    _, grads = loss_fn()
+    dX = grads["X"]
+    assert np.all(dX[frozen] == 0.0) and np.all(dX[lengths == 5] == 0.0)
+    for i, n in enumerate(RAGGED_LENGTHS):
+        if 0 < n < 5:
+            assert np.all(np.abs(dX[i, n - 1]) > 0.0)
+    finite_difference_check(loss_fn, {**p, "X": X})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_gru_b1_forward_is_bit_equal_to_padded_loop(dtype):
+    # one row (every acting and greedy-evaluation call) is already packed,
+    # so its hidden states keep the padded loop's bits
+    rng = np.random.default_rng(47)
+    p = {k: v.astype(dtype) for k, v in init_gru_params(rng, 5, 6).items()}
+    for n in (1, 4, 9):
+        X = rng.normal(size=(1, n, 5))
+        H, _ = gru_forward(p, X, np.array([n]))
+        np.testing.assert_array_equal(H, padded_gru_forward(p, X, np.array([n]))[0])
+
+
+def test_packed_gru_matches_padded_loop_on_a_ragged_batch():
+    rng = np.random.default_rng(48)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    dH = rng.normal(size=(7, 5, 4))
+    H, cache = gru_forward(p, X, lengths)
+    H_ref, state = padded_gru_forward(p, X, lengths)
+    np.testing.assert_allclose(H, H_ref, rtol=0, atol=1e-14)
+    grads, dX = gru_backward(cache, dH)
+    grads_ref, dX_ref = padded_gru_backward(state, dH)
+    np.testing.assert_allclose(dX, dX_ref, rtol=0, atol=1e-14)
+    for name in grads_ref:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, atol=1e-14)
+
+
 def test_qnet_gradcheck_tiny():
     # m=2, hidden=3, k=2, L=3: every parameter against central differences
     net = QNetwork(2, 3, 2, dropout_rate=0.0, rng=np.random.default_rng(15))

@@ -2,16 +2,19 @@
 must be referenced in `src/`, `demos/` or `bench/` outside its own
 definition. Tests do not count, so code that only tests read fails here.
 Every per-layer row of `BENCHMARK.json` names a callable the benchmark's
-tracer wraps, so a rename cannot leave a row reading 0 unnoticed. No module
-in `src/` or `demos/` reads another module's private name."""
+tracer wraps, so a rename cannot leave a row reading 0 unnoticed, and the
+tracer's GRU flop hooks still read the shapes the GRU keeps. No module in
+`src/` or `demos/` reads another module's private name."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -109,6 +112,32 @@ def test_benchmark_layer_rows_name_traced_callables():
     dead = {name for name in layered if not _traced_layer(name.rsplit(".", 1)[0])}
     assert dead == DEAD_LAYER_ROWS
 
+
+
+def test_benchmark_tracer_counts_gru_flops_of_both_networks():
+    # the traced run's flop hooks read gru_forward's X, and gru_backward's
+    # dH and cache["X"]: a GRU that changed those shapes would make the
+    # hooks raise or count nothing, and the traced run would go wrong
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from chatdqn import neuralnet
+
+    rng = np.random.default_rng(0)
+    X, lengths = neuralnet.pad_batch(rng.normal(size=(9, 4)), [[1, 2], [3], [4, 5, 6], [7]])
+    tracer = spans.Tracer()
+    tracer.install("chatdqn")
+    try:
+        net = neuralnet.QNetwork(4, 5, 3, rng=np.random.default_rng(1)).astype(np.float32)
+        neuralnet.qnet_loss_and_grads(net, X, lengths, [0, 2, 1, 0], rng.normal(size=4),
+                                      train_mode=True, rng=np.random.default_rng(2))
+        reg = neuralnet.RewardRegressor(4, 5, rng=np.random.default_rng(3)).astype(np.float32)
+        neuralnet.regressor_loss_and_grads(reg, X, lengths, rng.normal(size=4))
+    finally:
+        tracer.uninstall()
+    for layer in ("neuralnet.gru_forward", "neuralnet.gru_backward"):
+        assert tracer.flops[layer] > 0, layer
+        assert tracer.layer.count(tracer.layers.index(layer)) == 4, layer
 
 def _private_reads(tree):
     """(line, name) of each `x._name` that `tree` reads, where `x` is not
