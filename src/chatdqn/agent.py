@@ -412,11 +412,25 @@ def evaluate(
     at cfg.test_steps env turns. `vectors` holds the corpus's sentence
     vectors (`embed_corpus`).
 
-    Candidate draws use a per-dialogue rng seeded by
-    `stable_seed(seed, dialogue id)`,
-    so different policies face identical candidate sequences. `policy` (for
-    stubs/oracles) takes (state, cands, env) and returns an action id; the
-    default is the greedy policy of `net`.
+    The evaluated dialogues are the longest prefix of the set whose agent
+    turns fit the budget, fixed before the first turn. They run in lockstep
+    rounds, each of which gives every dialogue not yet done one turn:
+    1. each dialogue, in order, draws its candidates from its own rng,
+       seeded by `stable_seed(seed, dialogue id)`, so different policies
+       face identical candidate sequences;
+    2. the Q-values of all of them come from at most two `net` calls: one
+       carries on the dialogues whose history still fits cfg.history_len
+       from their saved hidden states, over the sentences added since their
+       last turn (`QNetwork.forward_carried`), and one recomputes the others
+       from the zero state over their last history_len sentences;
+    3. each dialogue, in order, takes its action and its env step.
+    The env's own rng, which picks the uttered sentence after a wrong pick
+    of a cluster that two candidates share, serves every dialogue, so its
+    draws follow this round-by-round order.
+
+    `policy` (for stubs/oracles) takes (state, cands, env) and returns an
+    action id; it replaces step 2's network and is called in step 3, round
+    by round. The default is the greedy policy of `net`.
     """
     subset, rows = _subset(corpus, dialogue_ids)
     if len(subset) == 0:
@@ -425,41 +439,58 @@ def evaluate(
         subset, sentence_model, vectors[rows], candidates=cfg.candidates,
         rng=np.random.default_rng([seed, 7]),
     )
-    cap = cfg.history_len
-
-    def greedy(state, cands, rng):
-        X, lengths = env.batch_states([state.history_ids[-cap:]])
-        q = net.forward(X, lengths, train_mode=False)[0]
-        return select_action(q, cands.action_ids, 0.0, rng)
-
-    steps = 0
-    truncated = False
-    per_episode: list[int] = []
-    evaluated: list[str] = []
+    dialogues = []
+    budget = cfg.test_steps
     for d in subset.dialogues:
-        if steps + d.n_agent_turns > cfg.test_steps:
-            truncated = True
+        if d.n_agent_turns > budget:
             break
-        rng_d = np.random.default_rng(stable_seed(seed, d.id))
-        state = env.reset(d)
-        ep: list[int] = []
-        while not state.done:
-            cands = env.make_candidates(state, rng_d)
-            if policy is None:
-                action = greedy(state, cands, rng_d)
-            else:
-                action = policy(state, cands, env)
-            state, r, _ = env.step(state, action, cands)
-            ep.append(r)
-            steps += 1
-        per_episode.append(episode_reward(ep))
-        evaluated.append(d.id)
-    if not per_episode:
+        dialogues.append(d)
+        budget -= d.n_agent_turns
+    if not dialogues:
         raise ValueError("evaluation budget too small for a single episode")
+
+    n = len(dialogues)
+    cap = cfg.history_len
+    states = [env.reset(d) for d in dialogues]
+    rngs = [np.random.default_rng(stable_seed(seed, d.id)) for d in dialogues]
+    rewards: list[list[int]] = [[] for _ in dialogues]
+    if policy is None:
+        # the two layers' hidden states after each dialogue's first seen[i]
+        # sentences, kept while its history fits the cap
+        carried = np.zeros((2, n, net.hidden_dim), dtype=net.head["W"].dtype)
+        seen = [0] * n
+    steps = 0
+    live = list(range(n))
+    while live:
+        cands = [env.make_candidates(states[i], rngs[i]) for i in live]
+        if policy is None:
+            q = np.empty((len(live), net.n_actions))
+            fit = [j for j, i in enumerate(live) if len(states[i].history_ids) <= cap]
+            slid = [j for j, i in enumerate(live) if len(states[i].history_ids) > cap]
+            if fit:
+                ids = [live[j] for j in fit]
+                X, lengths = env.batch_states([states[i].history_ids[seen[i]:] for i in ids])
+                q[fit], carried[:, ids] = net.forward_carried(X, lengths, carried[:, ids])
+                for i in ids:
+                    seen[i] = len(states[i].history_ids)
+            if slid:
+                X, lengths = env.batch_states(
+                    [states[live[j]].history_ids[-cap:] for j in slid])
+                q[slid] = net.forward(X, lengths, train_mode=False)
+        for j, i in enumerate(live):
+            if policy is None:
+                action = select_action(q[j], cands[j].action_ids, 0.0, rngs[i])
+            else:
+                action = policy(states[i], cands[j], env)
+            states[i], r, _ = env.step(states[i], action, cands[j])
+            rewards[i].append(r)
+            steps += 1
+        live = [i for i in live if not states[i].done]
+    per_episode = [episode_reward(ep) for ep in rewards]
     return EvalResult(
         mean_reward=float(np.mean(per_episode)),
         episode_rewards=per_episode,
-        dialogue_ids=evaluated,
+        dialogue_ids=[d.id for d in dialogues],
         steps_used=steps,
-        truncated=truncated,
+        truncated=len(dialogues) < len(subset),
     )

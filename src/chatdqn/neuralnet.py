@@ -45,11 +45,20 @@ buffer with [z r h~]. The backward pass walks the steps in reverse and
 overwrites each step's rows again with the gate pre-activation gradients,
 so dW, db and dX each take one GEMM after the loop, and so do dU_zr and dU_h
 over the cells past step 0. Because of that overwrite a cache serves
-exactly one backward pass. A batch of one row, as every acting and
-greedy-evaluation call is, gets the same hidden states, bit for bit, as a
-loop over all padded cells; a ragged batch can differ from that loop in the
-last bits, because its GEMMs run on fewer rows, and so can the recurrent
-weight gradients, which sum over the steps in one GEMM.
+exactly one backward pass. A batch of one row, as every acting call of the
+training loop and the chat REPL is, gets the same hidden states, bit for
+bit, as a loop over all padded cells; a ragged batch can differ from that
+loop in the last bits, because its GEMMs run on fewer rows, and so can the
+recurrent weight gradients, which sum over the steps in one GEMM.
+
+A GRU layer starts from the zero state unless it is given `h0`, the (B, h)
+states to start its rows from. Greedy evaluation uses it to carry each
+dialogue on from its state after its earlier sentences, over only the
+sentences added since (`QNetwork.forward_carried`), so that one call per
+layer advances a batch of dialogues by a turn. Such a call runs step 0's
+recurrent GEMMs, and its cache has no backward pass: evaluation never
+trains, and training, the target network and the gradient checks always
+start from zero.
 """
 
 from __future__ import annotations
@@ -176,7 +185,7 @@ def _pack(A: np.ndarray, cells) -> np.ndarray:
     return A[cells]
 
 
-def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
+def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray, h0: np.ndarray | None = None):
     """Run a GRU layer over a padded batch.
 
     X: (B, T, D); lengths: (B,) ints in [0, T]. Returns (H, cache) with
@@ -185,10 +194,19 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
     cells: the rows are taken longest first, and step t runs on the rows
     still active. The cache holds the gate buffer that `gru_backward`
     overwrites, so it serves exactly one backward pass.
+
+    h0: the (B, h) initial hidden states, in the rows' order, to continue
+    each row from where an earlier call over its preceding cells ended; a
+    row of length 0 keeps its h0. None is the zero state, whose step 0
+    skips the recurrent GEMMs. A cache made from an h0 cannot be
+    backpropagated.
     """
     B, T, D = X.shape
     hd = p["W_z"].shape[0]
     _check_gru_shapes(p, D, hd)
+    if h0 is not None and np.shape(h0) != (B, hd):
+        raise ValueError(f"initial state of shape {np.shape(h0)} for {B} rows "
+                         f"of hidden dim {hd}")
     W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]))  # (3h, D)
     U_zr = np.concatenate((p["U_z"], p["U_r"]))         # (2h, h)
     U_h = p["U_h"]
@@ -198,7 +216,12 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
     G = _pack(X, cells).astype(W.dtype, copy=False) @ W.T
     G += np.concatenate((p["b_z"], p["b_r"], p["b_h"]))
     H = np.empty((B, T, hd), dtype=W.dtype)
-    h = np.zeros((B, hd), dtype=W.dtype)  # sorted rows; frozen ones keep their state
+    # sorted rows; frozen ones keep their state
+    carried = h0 is not None
+    if carried:
+        h = np.array(h0 if order is None else h0[order], dtype=W.dtype)
+    else:
+        h = np.zeros((B, hd), dtype=W.dtype)
     rows = slice(None) if order is None else order  # where each sorted row goes in H
     start = 0
     for t, n in enumerate(steps):
@@ -206,18 +229,19 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray):
         start += n
         a_zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
         h_act = h[:n]
-        if t:  # h = 0 at t = 0: the recurrent terms vanish
+        recurrent = t > 0 or carried  # a zero h_prev has no recurrent terms
+        if recurrent:
             a_zr += h_act @ U_zr.T
         zr = sigmoid(a_zr)
         a_zr[...] = zr
         z, r = zr[:, :hd], zr[:, hd:]
-        if t:
+        if recurrent:
             h_til += (r * h_act) @ U_h.T
         np.tanh(h_til, out=h_til)
         h_act += z * (h_til - h_act)
         H[rows, t] = h
     cache = {"X": X, "G": G, "H": H, "order": order, "steps": steps, "cells": cells,
-             "W": W, "U_zr": U_zr, "U_h": U_h}
+             "W": W, "U_zr": U_zr, "U_h": U_h, "carried": carried}
     return H, cache
 
 
@@ -232,8 +256,12 @@ def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
     parameters). The steps run in reverse over the forward's packed cells;
     each step's rows of the gate buffer are overwritten with their
     pre-activation gradients, which then give dW, db, dX, dU_zr and dU_h as
-    one GEMM each; a second call on the same cache raises.
+    one GEMM each; a second call on the same cache raises, and so does a
+    cache made from an initial state h0.
     """
+    if cache["carried"]:
+        raise ValueError("GRU cache made from an initial state h0: only the "
+                         "zero initial state has a backward pass")
     G = cache.pop("G", None)
     if G is None:
         raise ValueError("GRU cache already consumed by a backward pass")
@@ -457,15 +485,30 @@ class QNetwork(_Network):
         H1, c1 = gru_forward(self.gru1, X[:, : _width(lengths)], lengths)
         H2, c2 = gru_forward(self.gru2, H1, lengths)
         h_drop, drop_mask = dropout(H2[:, -1], self.dropout_rate, train_mode, rng)
-        Q = h_drop @ self.head["W"].T + self.head["b"]
-        if not np.all(np.isfinite(Q)):
-            raise FloatingPointError("non-finite Q-values")
         cache = {"c1": c1, "c2": c2, "h_drop": h_drop, "drop_mask": drop_mask}
-        return Q, cache
+        return self._head(h_drop), cache
 
     def forward(self, X, lengths, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         Q, _ = self.forward_cached(X, lengths, train_mode, rng)
+        return Q
+
+    def forward_carried(self, X: np.ndarray, lengths, state: np.ndarray | None = None):
+        """Eval-mode (Q, state) on a (B, T, m) batch of each row's next
+        sentences. `state` is the (2, B, h) hidden states of the two layers
+        after the row's earlier sentences (None: the zero state, which makes
+        Q equal `forward`'s); the returned state is the one after this
+        batch, to pass back with the row's following sentences."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        h1, h2 = (None, None) if state is None else state
+        H1, _ = gru_forward(self.gru1, X[:, : _width(lengths)], lengths, h1)
+        H2, _ = gru_forward(self.gru2, H1, lengths, h2)
+        return self._head(H2[:, -1]), np.stack((H1[:, -1], H2[:, -1]))
+
+    def _head(self, h: np.ndarray) -> np.ndarray:
+        Q = h @ self.head["W"].T + self.head["b"]
+        if not np.all(np.isfinite(Q)):
+            raise FloatingPointError("non-finite Q-values")
         return Q
 
     def backward(self, cache: dict, dQ: np.ndarray) -> dict:

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from chatdqn import AgentConfig, make_toy_corpus, make_toy_embeddings
+import chatdqn.agent as agent_module
+import chatdqn.environment as environment_module
+import chatdqn.neuralnet as neuralnet_module
 from chatdqn.agent import (
     ChatDQNAgent,
+    EvalResult,
     ReplayMemory,
     Transition,
     compute_targets,
@@ -15,8 +19,9 @@ from chatdqn.agent import (
     select_action,
     train,
 )
+from chatdqn.corpus import stable_seed
 from chatdqn.embeddings import embed_corpus
-from chatdqn.environment import DialogueEnv, baseline_bounds
+from chatdqn.environment import DialogueEnv, baseline_bounds, episode_reward
 from chatdqn.neuralnet import Adam, QNetwork
 
 from conftest import topic_cluster_model
@@ -376,9 +381,9 @@ def test_target_net_frozen_between_syncs(train_world):
 def test_history_window_shorter_than_the_dialogues(monkeypatch, cap):
     # dialogues of 10 to 14 turns outgrow a history_len of 1 or 3: every
     # replayed state is the last `cap` sentence ids of its transcript, and
-    # greedy evaluation never scores a batch wider than `cap` steps
-    import chatdqn.agent as agent_module
-
+    # greedy evaluation never scores a batch wider than `cap` steps, neither
+    # when it carries a dialogue on from its saved state nor when it
+    # recomputes the dialogues that outgrew the cap over their last `cap` ids
     table = make_toy_embeddings(4, dim=6, seed=31)
     corpus = make_toy_corpus(12, topics=range(4), seed=31, turns_range=(10, 14))
     model = topic_cluster_model(table, 4)
@@ -406,17 +411,20 @@ def test_history_window_shorter_than_the_dialogues(monkeypatch, cap):
         assert t.s == before[-cap:] and t.s_next == after[-cap:]
 
     transcripts.clear()
-    widths = []
-    forward = agent.net.forward
+    widths = {"forward": [], "forward_carried": []}  # batch widths per call
 
-    def recording_forward(X, lengths, **kw):
-        widths.append(X.shape[1])
-        return forward(X, lengths, **kw)
+    def recording(call, record):
+        def wrapper(X, *args, **kw):
+            record.append(X.shape[1])
+            return call(X, *args, **kw)
+        return wrapper
 
-    monkeypatch.setattr(agent.net, "forward", recording_forward)
+    for name, record in widths.items():
+        monkeypatch.setattr(agent.net, name, recording(getattr(agent.net, name), record))
     evaluate(agent.net, corpus, cfg, model, vectors, seed=2)
     assert max(len(before) for before, _ in transcripts) > 3
-    assert len(widths) == len(transcripts) and max(widths) == cap
+    assert max(widths["forward_carried"]) <= cap
+    assert widths["forward"] and set(widths["forward"]) == {cap}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -700,3 +708,138 @@ def test_evaluate_random_policy_matches_expectation():
     assert len(res.episode_rewards) >= 500
     _, _, rand = baseline_bounds(corpus.dialogues, candidates=3)
     assert res.mean_reward == pytest.approx(rand, abs=0.15)
+
+
+def per_dialogue_evaluate(net, corpus, cfg, sentence_model, vectors, seed=0, policy=None,
+                          env_class=DialogueEnv, select=select_action):
+    """The per-dialogue greedy evaluation that lockstep rounds replaced, kept
+    as a reference: each dialogue runs to its end before the next starts,
+    and each turn runs the network from the zero state over the dialogue's
+    last history_len sentences, one row at a time."""
+    env = env_class(corpus, sentence_model, vectors, candidates=cfg.candidates,
+                    rng=np.random.default_rng([seed, 7]))
+    cap = cfg.history_len
+    steps = 0
+    truncated = False
+    per_episode, evaluated = [], []
+    for d in corpus.dialogues:
+        if steps + d.n_agent_turns > cfg.test_steps:
+            truncated = True
+            break
+        rng_d = np.random.default_rng(stable_seed(seed, d.id))
+        state = env.reset(d)
+        ep = []
+        while not state.done:
+            cands = env.make_candidates(state, rng_d)
+            if policy is None:
+                X, lengths = env.batch_states([state.history_ids[-cap:]])
+                q = net.forward(X, lengths, train_mode=False)[0]
+                action = select(q, cands.action_ids, 0.0, rng_d)
+            else:
+                action = policy(state, cands, env)
+            state, r, _ = env.step(state, action, cands)
+            ep.append(r)
+            steps += 1
+        per_episode.append(episode_reward(ep))
+        evaluated.append(d.id)
+    return EvalResult(float(np.mean(per_episode)), per_episode, evaluated, steps, truncated)
+
+
+@pytest.fixture(scope="module")
+def ragged_world():
+    table = make_toy_embeddings(6, dim=6, seed=61)
+    corpus = make_toy_corpus(30, topics=range(6), seed=61, turns_range=(4, 14))
+    return table, corpus, topic_cluster_model(table, 6), embed_corpus(corpus, table)[0]
+
+
+def _oracle(state, cands, env):
+    return cands.action_ids[cands.truth_index]
+
+
+@pytest.mark.parametrize("policy", [None, _oracle], ids=["greedy", "oracle"])
+@pytest.mark.parametrize("cap", [1, 3, 50])
+def test_lockstep_evaluation_matches_the_per_dialogue_loop(ragged_world, monkeypatch,
+                                                           cap, policy):
+    # dialogues of 2 to 7 agent turns, a budget that cuts the set short, and
+    # a history cap below, inside and above the dialogues' lengths: the same
+    # result, and on every turn the same candidates and Q-values up to the
+    # rounding of a batched GEMM. The env's shared rng picks the sentence
+    # uttered after a wrong pick of a cluster two candidates share, and
+    # lockstep draws it in round order; both runs here use a draw-free rule
+    # for it, so that their histories can be compared.
+    table, corpus, model, vectors = ragged_world
+    total = sum(d.n_agent_turns for d in corpus.dialogues)
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=5, history_len=cap,
+        test_steps=2 * total // 3, burn_in=0, learn_steps=0, seed=0,
+    )
+    net = QNetwork(table.dim, 5, model.k, rng=np.random.default_rng(62))
+    assert net.head["W"].dtype == np.float64
+    shared = []
+
+    def first_of_cluster(sentence_ids, action_ids, chosen, rng):
+        pool = [sid for sid, aid in zip(sentence_ids, action_ids) if aid == chosen]
+        shared.append(len(pool) > 1)
+        return pool[0]
+
+    monkeypatch.setattr(environment_module, "candidate_of_cluster", first_of_cluster)
+    runs = []
+    for run in (per_dialogue_evaluate, evaluate):
+        turns = {}  # (dialogue, turn) -> (candidate sentence ids, Q-values)
+        last_q = []
+
+        def spy_select(q, ids, eps, rng):
+            last_q.append(np.array(q))
+            return select_action(q, ids, eps, rng)
+
+        class RecordingEnv(DialogueEnv):
+            def step(self, state, chosen, cands):
+                q = last_q.pop() if policy is None else None
+                turns[state.dialogue_ref, state.turn_index] = (cands.sentence_ids, q)
+                return super().step(state, chosen, cands)
+
+        if run is per_dialogue_evaluate:
+            res = run(net, corpus, cfg, model, vectors, seed=4, policy=policy,
+                      env_class=RecordingEnv, select=spy_select)
+        else:
+            monkeypatch.setattr(agent_module, "DialogueEnv", RecordingEnv)
+            monkeypatch.setattr(agent_module, "select_action", spy_select)
+            res = run(net, corpus, cfg, model, vectors, seed=4, policy=policy)
+        runs.append((res, turns))
+    (want, want_turns), (got, got_turns) = runs
+    assert want.truncated and len(want.dialogue_ids) < len(corpus)
+    assert got == want
+    assert got_turns.keys() == want_turns.keys()
+    assert len(got_turns) == want.steps_used
+    for key, (cands, q) in want_turns.items():
+        assert got_turns[key][0] == cands
+        if policy is None:
+            np.testing.assert_allclose(got_turns[key][1], q, rtol=0, atol=1e-12)
+    if policy is None:
+        assert any(shared)
+
+
+@pytest.mark.parametrize("n_dialogues", [3, 30])
+def test_lockstep_evaluation_runs_two_gru_calls_per_batch_per_round(ragged_world,
+                                                                    monkeypatch, n_dialogues):
+    # each round is at most two batches (carried on, recomputed), each one
+    # GRU call per layer, however many dialogues run
+    table, corpus, model, vectors = ragged_world
+    ids = corpus.ids[:n_dialogues]
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=5, history_len=3,
+        test_steps=10**6, burn_in=0, learn_steps=0, seed=0,
+    )
+    net = QNetwork(table.dim, 5, model.k, rng=np.random.default_rng(63))
+    calls = []
+    gru_forward = neuralnet_module.gru_forward
+
+    def counting(*args, **kw):
+        calls.append(args[1].shape[0])
+        return gru_forward(*args, **kw)
+
+    monkeypatch.setattr(neuralnet_module, "gru_forward", counting)
+    res = evaluate(net, corpus, cfg, model, vectors, dialogue_ids=ids, seed=5)
+    rounds = max(corpus.get(i).n_agent_turns for i in ids)
+    assert res.steps_used == sum(corpus.get(i).n_agent_turns for i in ids)
+    assert 2 * rounds <= len(calls) <= 2 * 2 * rounds

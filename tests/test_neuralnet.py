@@ -615,6 +615,53 @@ def test_packed_gru_matches_padded_loop_on_a_ragged_batch():
         np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, atol=1e-14)
 
 
+# ---------------------------------------------------------------------------
+# a carried initial state h0: a batch continued from where an earlier call
+# over each row's preceding cells ended
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_gru_h0_continues_a_ragged_batch_split_in_time(k):
+    # rows of length <= k have nothing left after the split and keep their h0
+    rng = np.random.default_rng(49)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    H, _ = gru_forward(p, X, lengths)
+    head, _ = gru_forward(p, X[:, :k], np.minimum(lengths, k))
+    tail, _ = gru_forward(p, X[:, k:], np.maximum(lengths - k, 0), h0=head[:, -1])
+    np.testing.assert_allclose(np.concatenate((head, tail), axis=1), H, rtol=0, atol=1e-12)
+
+
+def test_gru_h0_of_another_shape_is_refused():
+    rng = np.random.default_rng(50)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=2, L=3, m=3)
+    with pytest.raises(ValueError, match="initial state"):
+        gru_forward(p, X, lengths, h0=np.zeros((3, 4)))
+
+
+def test_gru_backward_refuses_a_cache_made_from_h0():
+    rng = np.random.default_rng(51)
+    p = init_gru_params(rng, 3, 4)
+    X, lengths = tiny_batch(rng, B=3, L=4, m=3)
+    H, cache = gru_forward(p, X, lengths, h0=rng.normal(size=(3, 4)))
+    with pytest.raises(ValueError, match="initial state"):
+        gru_backward(cache, np.ones_like(H))
+
+
+def test_qnet_forward_carried_continues_a_split_batch():
+    # from no state, Q is forward's bit for bit; carried on over the rest of
+    # each row, Q is forward's over the whole rows
+    rng = np.random.default_rng(52)
+    net = QNetwork(3, 4, 5, rng=np.random.default_rng(53))
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=[3, 2, 5, 3, 2, 5, 2])
+    Q_head, state = net.forward_carried(X[:, :2], np.minimum(lengths, 2))
+    np.testing.assert_array_equal(Q_head, net.forward(X[:, :2], np.minimum(lengths, 2)))
+    assert state.shape == (2, 7, 4)
+    Q, _ = net.forward_carried(X[:, 2:], lengths - 2, state)
+    np.testing.assert_allclose(Q, net.forward(X, lengths), rtol=0, atol=1e-12)
+
+
 def test_qnet_gradcheck_tiny():
     # m=2, hidden=3, k=2, L=3: every parameter against central differences
     net = QNetwork(2, 3, 2, dropout_rate=0.0, rng=np.random.default_rng(15))
