@@ -221,7 +221,7 @@ def compute_targets(
     live = [i for i, t in enumerate(transitions) if not t.done]
     if live:
         X, lengths = materialize([transitions[i].s_next for i in live])
-        Q = target_net.forward(X, lengths, train_mode=False)
+        Q = target_net.forward(X, lengths)
         for pos, i in enumerate(live):
             cand = transitions[i].candidate_ids_next
             y[i] += gamma * float(max(Q[pos, c] for c in cand))
@@ -355,7 +355,7 @@ def train(
         while True:
             eps = epsilon_at(agent.global_step, cfg)
             X, lengths = env.batch_states([state.history_ids[-cap:]])
-            q = agent.net.forward(X, lengths, train_mode=False)[0]
+            q = agent.net.forward(X, lengths)[0]
             action = select_action(q, cands.action_ids, eps, agent.rng_explore)
             next_state, r, done = env.step(state, action, cands)
             next_cands = None if done else env.make_candidates(next_state, rng_cand)
@@ -418,11 +418,11 @@ def evaluate(
     1. each dialogue, in order, draws its candidates from its own rng,
        seeded by `stable_seed(seed, dialogue id)`, so different policies
        face identical candidate sequences;
-    2. the Q-values of all of them come from at most two `net` calls: one
-       carries on the dialogues whose history still fits cfg.history_len
-       from their saved hidden states, over the sentences added since their
-       last turn (`QNetwork.forward_carried`), and one recomputes the others
-       from the zero state over their last history_len sentences;
+    2. the Q-values of all of them come from one `QNetwork.forward_carried`
+       call: a dialogue whose history still fits cfg.history_len carries on
+       from its saved hidden states over the sentences added since its last
+       turn, and one whose window slides restarts from the zero state over
+       its last history_len sentences;
     3. each dialogue, in order, takes its action and its env step.
     The env's own rng, which picks the uttered sentence after a wrong pick
     of a cluster that two candidates share, serves every dialogue, so its
@@ -456,7 +456,7 @@ def evaluate(
     rewards: list[list[int]] = [[] for _ in dialogues]
     if policy is None:
         # the two layers' hidden states after each dialogue's first seen[i]
-        # sentences, kept while its history fits the cap
+        # sentences, or after its window, once the window slides
         carried = np.zeros((2, n, net.hidden_dim), dtype=net.head["W"].dtype)
         seen = [0] * n
     steps = 0
@@ -464,19 +464,15 @@ def evaluate(
     while live:
         cands = [env.make_candidates(states[i], rngs[i]) for i in live]
         if policy is None:
-            q = np.empty((len(live), net.n_actions))
-            fit = [j for j, i in enumerate(live) if len(states[i].history_ids) <= cap]
-            slid = [j for j, i in enumerate(live) if len(states[i].history_ids) > cap]
-            if fit:
-                ids = [live[j] for j in fit]
-                X, lengths = env.batch_states([states[i].history_ids[seen[i]:] for i in ids])
-                q[fit], carried[:, ids] = net.forward_carried(X, lengths, carried[:, ids])
-                for i in ids:
-                    seen[i] = len(states[i].history_ids)
-            if slid:
-                X, lengths = env.batch_states(
-                    [states[live[j]].history_ids[-cap:] for j in slid])
-                q[slid] = net.forward(X, lengths, train_mode=False)
+            for i in live:
+                n_hist = len(states[i].history_ids)
+                if n_hist > cap:  # the window slid: restart from zero over it
+                    carried[:, i] = 0.0
+                    seen[i] = n_hist - cap
+            X, lengths = env.batch_states([states[i].history_ids[seen[i]:] for i in live])
+            q, carried[:, live] = net.forward_carried(X, lengths, carried[:, live])
+            for i in live:
+                seen[i] = len(states[i].history_ids)
         for j, i in enumerate(live):
             if policy is None:
                 action = select_action(q[j], cands[j].action_ids, 0.0, rngs[i])

@@ -1,6 +1,6 @@
 """The Q-network file, written by `save_agent_checkpoint` and read by
 `load_qnetwork`, plus the atomic writers every pipeline artifact goes
-through.
+through and the one JSON reader.
 
 Layout: 4-byte magic `CDQ1`, 4-byte big-endian header length, canonical
 JSON header (sorted keys, no spaces: `version`, `kind` "agent",
@@ -30,6 +30,7 @@ __all__ = [
     "load_qnetwork",
     "atomic_write",
     "write_json",
+    "read_json",
 ]
 
 _MAGIC = b"CDQ1"
@@ -61,6 +62,20 @@ def write_json(path: str, obj) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in `path`: the one reader of every JSON artifact and
+    config file. A file that is not JSON, or holds anything but an object,
+    raises a ValueError that starts with its path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def save_agent_checkpoint(path: str, agent, config_hash: str = "") -> None:

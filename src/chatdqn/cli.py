@@ -47,11 +47,13 @@ __all__ = ["main"]
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    """The config with the --seed and --out overrides, each checked as the
+    config file's own value is."""
     cfg = load_experiment_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "out", None):
-        cfg.out_dir = args.out
+        cfg = replace(cfg, out_dir=args.out)
     return cfg
 
 

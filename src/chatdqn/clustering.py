@@ -15,12 +15,11 @@ rows in another order and change the last bits, so neither is used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import write_json
+from .checkpoint import read_json, write_json
 
 __all__ = [
     "ClusterModel",
@@ -262,10 +261,9 @@ def save_cluster_model(model: ClusterModel, path: str, extra: dict | None = None
 
 
 def load_cluster_model(path: str) -> ClusterModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if obj.get("version") != 1:
-        raise ValueError(f"unsupported cluster model version: {obj.get('version')!r}")
+        raise ValueError(f"{path}: unsupported cluster model version: {obj.get('version')!r}")
     for key in ("k", "dim", "centroids"):
         if key not in obj:
             raise ValueError(f"{path}: cluster model has no {key!r} key")

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write, write_json
+from .checkpoint import atomic_write, read_json, write_json
 from .clustering import ClusterModel, assign_many
 from .embeddings import tokenize
 
@@ -291,10 +291,9 @@ def save_splits(splits: Sequence[DataSplit], path: str, extra: dict | None = Non
 
 
 def load_splits(path: str) -> list[DataSplit]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if obj.get("version") != 1:
-        raise ValueError(f"unsupported splits version: {obj.get('version')!r}")
+        raise ValueError(f"{path}: unsupported splits version: {obj.get('version')!r}")
     if "splits" not in obj:
         raise ValueError(f"{path}: splits file has no 'splits' key")
     items = sorted(((int(k), v) for k, v in obj["splits"].items()))

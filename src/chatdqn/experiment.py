@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .agent import AgentConfig, evaluate, train
-from .checkpoint import atomic_write, load_qnetwork, save_agent_checkpoint, write_json
+from .checkpoint import atomic_write, load_qnetwork, read_json, save_agent_checkpoint, write_json
 from .clustering import (
     dialogue_vectors,
     fit,
@@ -183,8 +183,7 @@ def save_experiment_config(cfg: ExperimentConfig, path: str) -> None:
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Load, validate referenced paths, and apply the CHATDQN_SEED override."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_dict(json.load(fh))
+    cfg = ExperimentConfig.from_dict(read_json(path))
     if os.environ.get(SEED_ENV_VAR):
         raw = os.environ[SEED_ENV_VAR]
         try:
@@ -248,18 +247,13 @@ def _say(ctx: _Context, msg: str) -> None:
         ctx.log(msg)
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _fresh(ctx: _Context, path: str) -> dict | None:
     """The one freshness read of stage markers and run files: None when
     `path` is missing, its contents when it carries the config hash. A file
     with another config's hash refuses the run."""
     if not os.path.exists(path):
         return None
-    payload = _read_json(path)
+    payload = read_json(path)
     found = payload.get("config_hash")
     if found != ctx.h:
         raise ValueError(
@@ -807,7 +801,7 @@ def emit_learning_curve(run_dir: str):
     rpath = os.path.join(run_dir, "report.json")
     if not os.path.exists(rpath):
         raise FileNotFoundError(f"missing report: {rpath}")
-    rep = _read_json(rpath)
+    rep = read_json(rpath)
     rewards = rep["episode_rewards"]
     moving = rep["moving_avg"]
     h = rep.get("config_hash", "")

@@ -52,13 +52,13 @@ loop in the last bits, because its GEMMs run on fewer rows, and so can the
 recurrent weight gradients, which sum over the steps in one GEMM.
 
 A GRU layer starts from the zero state unless it is given `h0`, the (B, h)
-states to start its rows from. Greedy evaluation uses it to carry each
-dialogue on from its state after its earlier sentences, over only the
-sentences added since (`QNetwork.forward_carried`), so that one call per
-layer advances a batch of dialogues by a turn. Such a call runs step 0's
-recurrent GEMMs, and its cache has no backward pass: evaluation never
-trains, and training, the target network and the gradient checks always
-start from zero.
+states to start its rows from. `QNetwork.forward_carried`, the Q-network's
+one eval-mode path, takes and returns both layers' states, so that greedy
+evaluation carries each dialogue on over only its new sentences, one call
+per layer a turn; `QNetwork.forward` is that call from the zero state. An
+h0 runs step 0's recurrent GEMMs, which add exact zeros for a zero row, and
+its cache has no backward pass: training (`forward_cached` in train mode)
+and the gradient checks always start from zero.
 """
 
 from __future__ import annotations
@@ -488,16 +488,15 @@ class QNetwork(_Network):
         cache = {"c1": c1, "c2": c2, "h_drop": h_drop, "drop_mask": drop_mask}
         return self._head(h_drop), cache
 
-    def forward(self, X, lengths, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        Q, _ = self.forward_cached(X, lengths, train_mode, rng)
-        return Q
+    def forward(self, X, lengths) -> np.ndarray:
+        """Eval-mode Q-values: `forward_carried` from the zero state."""
+        return self.forward_carried(X, lengths)[0]
 
     def forward_carried(self, X: np.ndarray, lengths, state: np.ndarray | None = None):
         """Eval-mode (Q, state) on a (B, T, m) batch of each row's next
         sentences. `state` is the (2, B, h) hidden states of the two layers
-        after the row's earlier sentences (None: the zero state, which makes
-        Q equal `forward`'s); the returned state is the one after this
+        after the row's earlier sentences (None or a zero row: the zero
+        state, bit for bit); the returned state is the one after this
         batch, to pass back with the row's following sentences."""
         lengths = np.asarray(lengths, dtype=np.int64)
         h1, h2 = (None, None) if state is None else state
@@ -617,9 +616,9 @@ class RewardRegressor(_Network):
         }
         return preds, cache
 
-    def forward(self, X, lengths, train_mode: bool = False) -> np.ndarray:
-        preds, _ = self.forward_cached(X, lengths, train_mode)
-        return preds
+    def forward(self, X, lengths) -> np.ndarray:
+        """Eval-mode predictions (running batch-norm statistics)."""
+        return self.forward_cached(X, lengths)[0]
 
     def backward(self, cache: dict, dpreds: np.ndarray) -> dict:
         grads = {}

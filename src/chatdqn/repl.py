@@ -108,7 +108,7 @@ def chat_repl(
             picks = sample_distractors(corpus, None, candidates, rng)
             cand_ids = [int(actions[i]) for i in picks]
             state = np.stack(history[-history_len:])[None]
-            q = net.forward(state, [state.shape[1]], train_mode=False)[0]
+            q = net.forward(state, [state.shape[1]])[0]
             output_fn("q: " + _format_q_line(q, cand_ids))
             for i, a in zip(picks, cand_ids):
                 output_fn(f"  [{a}] {sentences[i]}")

@@ -127,7 +127,7 @@ def train_predictor(
 
 def predict(model: RewardRegressor, X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Eval-mode predictions (running batch-norm statistics, no dropout)."""
-    return model.forward(X, lengths, train_mode=False)
+    return model.forward(X, lengths)
 
 
 def pearson(y_true, y_pred) -> float:
@@ -160,6 +160,8 @@ def history_length_study(
     the mean and std of the test-set Pearson correlation."""
     if len(lengths) < 2:
         raise ValueError("study needs at least 2 history lengths")
+    if min(lengths) < 1:
+        raise ValueError(f"history lengths must be >= 1, got {list(lengths)}")
     rng = np.random.default_rng([cfg.seed, 100])
     train_d = distort_corpus(train_corpus, fractions, rng)
     test_d = distort_corpus(test_corpus, fractions, rng)

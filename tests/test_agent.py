@@ -381,9 +381,11 @@ def test_target_net_frozen_between_syncs(train_world):
 def test_history_window_shorter_than_the_dialogues(monkeypatch, cap):
     # dialogues of 10 to 14 turns outgrow a history_len of 1 or 3: every
     # replayed state is the last `cap` sentence ids of its transcript, and
-    # greedy evaluation never scores a batch wider than `cap` steps, neither
-    # when it carries a dialogue on from its saved state nor when it
-    # recomputes the dialogues that outgrew the cap over their last `cap` ids
+    # greedy evaluation makes one `forward_carried` call per round and no
+    # `forward` call. At round r every history holds 2r - 1 sentences, so
+    # from the first round whose histories outgrow the cap every dialogue
+    # restarts from the zero state over its last `cap` ids, and no batch is
+    # wider than `cap` steps
     table = make_toy_embeddings(4, dim=6, seed=31)
     corpus = make_toy_corpus(12, topics=range(4), seed=31, turns_range=(10, 14))
     model = topic_cluster_model(table, 4)
@@ -411,20 +413,25 @@ def test_history_window_shorter_than_the_dialogues(monkeypatch, cap):
         assert t.s == before[-cap:] and t.s_next == after[-cap:]
 
     transcripts.clear()
-    widths = {"forward": [], "forward_carried": []}  # batch widths per call
+    calls = []  # (batch width, any nonzero carried state) of each carried call
 
-    def recording(call, record):
-        def wrapper(X, *args, **kw):
-            record.append(X.shape[1])
-            return call(X, *args, **kw)
-        return wrapper
+    def no_forward(*args, **kw):
+        raise AssertionError("evaluate called QNetwork.forward")
 
-    for name, record in widths.items():
-        monkeypatch.setattr(agent.net, name, recording(getattr(agent.net, name), record))
-    evaluate(agent.net, corpus, cfg, model, vectors, seed=2)
+    def recording(X, lengths, state=None):
+        calls.append((X.shape[1], bool(np.any(state))))
+        return forward_carried(X, lengths, state)
+
+    forward_carried = agent.net.forward_carried
+    monkeypatch.setattr(agent.net, "forward", no_forward)
+    monkeypatch.setattr(agent.net, "forward_carried", recording)
+    res = evaluate(agent.net, corpus, cfg, model, vectors, seed=2)
     assert max(len(before) for before, _ in transcripts) > 3
-    assert max(widths["forward_carried"]) <= cap
-    assert widths["forward"] and set(widths["forward"]) == {cap}
+    assert not res.truncated
+    assert len(calls) == max(d.n_agent_turns for d in corpus.dialogues)
+    assert max(width for width, _ in calls) <= cap
+    restarts = [call for r, call in enumerate(calls, 1) if 2 * r - 1 > cap]
+    assert restarts and set(restarts) == {(cap, False)}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -733,7 +740,7 @@ def per_dialogue_evaluate(net, corpus, cfg, sentence_model, vectors, seed=0, pol
             cands = env.make_candidates(state, rng_d)
             if policy is None:
                 X, lengths = env.batch_states([state.history_ids[-cap:]])
-                q = net.forward(X, lengths, train_mode=False)[0]
+                q = net.forward(X, lengths)[0]
                 action = select(q, cands.action_ids, 0.0, rng_d)
             else:
                 action = policy(state, cands, env)
@@ -822,8 +829,8 @@ def test_lockstep_evaluation_matches_the_per_dialogue_loop(ragged_world, monkeyp
 @pytest.mark.parametrize("n_dialogues", [3, 30])
 def test_lockstep_evaluation_runs_two_gru_calls_per_batch_per_round(ragged_world,
                                                                     monkeypatch, n_dialogues):
-    # each round is at most two batches (carried on, recomputed), each one
-    # GRU call per layer, however many dialogues run
+    # each round is one batch, one GRU call per layer, however many
+    # dialogues run and whether they carry on or restart
     table, corpus, model, vectors = ragged_world
     ids = corpus.ids[:n_dialogues]
     cfg = AgentConfig(
@@ -842,4 +849,4 @@ def test_lockstep_evaluation_runs_two_gru_calls_per_batch_per_round(ragged_world
     res = evaluate(net, corpus, cfg, model, vectors, dialogue_ids=ids, seed=5)
     rounds = max(corpus.get(i).n_agent_turns for i in ids)
     assert res.steps_used == sum(corpus.get(i).n_agent_turns for i in ids)
-    assert 2 * rounds <= len(calls) <= 2 * 2 * rounds
+    assert len(calls) == 2 * rounds

@@ -252,8 +252,8 @@ def test_load_qnetwork_reads_old_layout(tmp_path):
     X = np.random.default_rng(1).normal(size=(3, 4, 5))
     lengths = np.array([4, 1, 3])
     np.testing.assert_array_equal(
-        net.forward(X, lengths, train_mode=False),
-        agent.net.forward(X, lengths, train_mode=False),
+        net.forward(X, lengths),
+        agent.net.forward(X, lengths),
     )
 
 
@@ -270,8 +270,8 @@ def test_load_qnetwork_roundtrip(tmp_path):
     X = rng.normal(size=(2, 4, 5))
     lengths = np.array([4, 2])
     np.testing.assert_array_equal(
-        net.forward(X, lengths, train_mode=False),
-        agent.net.forward(X, lengths, train_mode=False),
+        net.forward(X, lengths),
+        agent.net.forward(X, lengths),
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand's happy path plus the error
 exits (code 1 with an `error:` line on stderr)."""
 
+import argparse
 import csv
 import io
 import json
@@ -401,6 +402,21 @@ def test_project_centroids_missing_key_is_error(cli_world, tmp_path, capsys):
     assert err.startswith("error:") and "'centroids'" in err
 
 
+@pytest.mark.parametrize("content", ["[]", "7", '{"version": 1,\n'],
+                         ids=["list", "number", "truncated"])
+def test_project_centroids_malformed_file_is_error(cli_world, tmp_path, capsys, content):
+    # a list used to end in an AttributeError traceback
+    root, _, _ = cli_world
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text(content, encoding="utf-8")
+    out = tmp_path / "xy.csv"
+    rc = main(["project", "--what", "centroids", "--clusters", str(clusters),
+               "--embeddings", str(root / "emb6.txt"), "--dim", "6", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {clusters}: ")
+    assert not out.exists()
+
+
 def test_data_utilities_reproduce_the_pipelines_models(cli_world, tmp_path):
     # `cluster` and `split` draw from the seed streams of the pipeline's
     # stages, so with the run's seed they rewrite the run's models and splits
@@ -480,6 +496,40 @@ def test_negative_seed_is_error(cli_world, tmp_path, capsys, monkeypatch, source
     assert main(["run", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+    assert not os.path.exists(d["out_dir"])
+
+
+def _config_commands():
+    """{name: subparser} of every subcommand that takes --config and --seed."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: q for name, q in sub.choices.items()
+            if {"--config", "--seed"} <= set(q._option_string_actions)}
+
+
+def test_config_commands_cover_the_experiment_commands():
+    assert {"train", "eval", "run", "report", "predict-reward", "chat"} <= set(_config_commands())
+
+
+@pytest.mark.parametrize("command", sorted(_config_commands()))
+def test_negative_seed_flag_is_refused_before_anything_is_written(cli_world, tmp_path, capsys,
+                                                                   command):
+    # `run --seed -1` used to write the config, the corpus and two markers,
+    # then fail in cluster_sentences: --seed skipped the config's own check
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d["out_dir"] = str(tmp_path / "out")
+    cfg = root / f"seed_flag_{command}.json"
+    cfg.write_text(json.dumps(d))
+    argv = [command]
+    for action in _config_commands()[command]._actions:
+        if not action.option_strings:  # a positional: its first choice
+            argv.append(next(iter(action.choices)))
+        elif action.required and action.dest != "config":
+            argv += [action.option_strings[0], "0" if action.type is int else "x"]
+    assert main([*argv, "--config", str(cfg), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not os.path.exists(d["out_dir"])
 
 

@@ -18,8 +18,8 @@ from chatdqn import (
     save_embeddings_file,
 )
 from chatdqn.agent import ChatDQNAgent, moving_average
-from chatdqn.checkpoint import save_agent_checkpoint, write_json
-from chatdqn.clustering import ClusterModel, save_cluster_model
+from chatdqn.checkpoint import read_json, save_agent_checkpoint, write_json
+from chatdqn.clustering import ClusterModel, load_cluster_model, save_cluster_model
 from chatdqn.corpus import DataSplit, load_corpus, save_corpus, save_splits
 from chatdqn.experiment import (
     SEED_ENV_VAR,
@@ -494,6 +494,47 @@ def test_truncated_file_refuses_resume(tmp_path, rel, until, stage):
         run_experiment(cfg)
     assert err.value.stage == stage
     assert str(err.value).startswith(f"stage {stage} failed")
+
+
+# a list, a number and a file cut short, as by a crash outside atomic_write
+_BAD_JSON = {"list": "[]", "number": "7", "truncated": '{"version": 1,\n'}
+
+
+@pytest.mark.parametrize("content", list(_BAD_JSON.values()), ids=list(_BAD_JSON))
+@pytest.mark.parametrize("reader", [
+    read_json, load_experiment_config, load_cluster_model, load_splits,
+    lambda path: emit_learning_curve(os.path.dirname(path)),
+], ids=["read_json", "load_experiment_config", "load_cluster_model", "load_splits",
+        "emit_learning_curve"])
+def test_malformed_json_file_is_refused_by_name(tmp_path, reader, content):
+    # each used to raise an AttributeError (list, number) or a JSON decode
+    # error that did not name the file
+    path = tmp_path / "report.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        reader(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("content", list(_BAD_JSON.values()), ids=list(_BAD_JSON))
+@pytest.mark.parametrize("rel", ["ingest.done.json", "config.resolved.json"])
+def test_malformed_marker_or_resolved_config_refuses_resume(tmp_path, rel, content):
+    _write_world(tmp_path)
+    cfg = _make_cfg(tmp_path, out_name="bad_json")
+    out = run_experiment(cfg, until="ingest")
+    path = os.path.join(out, rel)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    before = _digest(out)
+    with pytest.raises((StageError, ValueError)) as err:
+        run_experiment(cfg)
+    if rel == "config.resolved.json":  # read before any stage runs
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}: ")
+    else:
+        assert err.value.stage == "ingest"
+        assert str(err.value).startswith(f"stage ingest failed: {path}: ")
+    assert _digest(out) == before
 
 
 # -------------------------------------------------- single-run helpers

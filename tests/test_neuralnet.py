@@ -312,10 +312,10 @@ def test_all_empty_batch_through_both_networks():
     h_norm = model.bn2["gamma"] * ((0.0 - model.bn2_mean) / np.sqrt(model.bn2_var + 1e-5)) \
         + model.bn2["beta"]
     want = np.zeros((3, 3)) + h_norm
-    preds = model.forward(X, lengths, train_mode=False)
+    preds = model.forward(X, lengths)
     assert np.array_equal(preds, want @ model.head["W"][0] + model.head["b"][0])
     with pytest.raises(ValueError, match=">= 2"):
-        model.forward(X, lengths, train_mode=True)
+        model.forward_cached(X, lengths, train_mode=True)
 
 
 def test_train_mode_regressor_ignores_running_stats():
@@ -368,8 +368,8 @@ def test_qnet_eval_forward_deterministic():
     rng = np.random.default_rng(11)
     net = QNetwork(2, 3, 2, dropout_rate=0.5, rng=rng)
     X, lengths = tiny_batch(np.random.default_rng(12), B=2, L=3, m=2)
-    a = net.forward(X, lengths, train_mode=False)
-    b = net.forward(X, lengths, train_mode=False)
+    a = net.forward(X, lengths)
+    b = net.forward(X, lengths)
     assert np.array_equal(a, b)
 
 
@@ -662,6 +662,23 @@ def test_qnet_forward_carried_continues_a_split_batch():
     np.testing.assert_allclose(Q, net.forward(X, lengths), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_qnet_forward_is_the_eval_mode_forward_cached(dtype):
+    # forward is forward_carried from the zero state: on ragged batches (a
+    # row of length 0 among them) it gives eval-mode forward_cached's
+    # Q-values bit for bit, and so does a carried state of zeros, whose
+    # step-0 recurrent GEMMs add exact zeros
+    net = QNetwork(3, 4, 5, dropout_rate=0.5, rng=np.random.default_rng(54)).astype(dtype)
+    rng = np.random.default_rng(55)
+    for lengths in ([3, 0, 5, 3, 1, 5, 2], [1], [4, 4, 2]):
+        X, lengths = tiny_batch(rng, B=len(lengths), L=5, m=3, lengths=lengths)
+        Q = net.forward(X, lengths)
+        assert Q.dtype == dtype
+        np.testing.assert_array_equal(Q, net.forward_cached(X, lengths, train_mode=False)[0])
+        zeros = np.zeros((2, len(lengths), 4), dtype=dtype)
+        np.testing.assert_array_equal(Q, net.forward_carried(X, lengths, zeros)[0])
+
+
 def test_qnet_gradcheck_tiny():
     # m=2, hidden=3, k=2, L=3: every parameter against central differences
     net = QNetwork(2, 3, 2, dropout_rate=0.0, rng=np.random.default_rng(15))
@@ -713,7 +730,7 @@ def test_qnet_zero_residual_means_zero_grads():
     rng = np.random.default_rng(22)
     X, lengths = tiny_batch(rng, B=2, L=3, m=2)
     actions = np.array([0, 1])
-    q = net.forward(X, lengths, train_mode=True)
+    q, _ = net.forward_cached(X, lengths, train_mode=True)
     targets = q[np.arange(2), actions]  # y = Q(s, a) exactly
     loss, grads = qnet_loss_and_grads(net, X, lengths, actions, targets,
                                       train_mode=True)
@@ -767,7 +784,7 @@ def test_regressor_eval_forward_matches_scalar_reference():
     yw = rng.normal(size=6)
     regressor_loss_and_grads(model, Xw, lw, yw, train_mode=True)
     X, lengths = tiny_batch(rng, B=3, L=4, m=2, lengths=[2, 4, 1])
-    preds = model.forward(X, lengths, train_mode=False)
+    preds = model.forward(X, lengths)
 
     eps = 1e-5
 

@@ -161,7 +161,7 @@ def test_agent_lines_enter_the_state_as_the_given_vectors(repl_world, tmp_path):
     reply = next(o for o in out if o.startswith("agent[")).split("> ", 1)[1]
     X = embed_texts([user[0], reply, user[1]], table)
     X[1] += shift
-    q = net.forward(X[None], [3], train_mode=False)[0]
+    q = net.forward(X[None], [3])[0]
     shown = [float(e.rstrip("*").split(":")[1]) for e in q_line[3:].split()]
     np.testing.assert_allclose(shown, q, atol=5e-4)
 
@@ -188,6 +188,6 @@ def test_state_keeps_most_recent_sentences(repl_world, tmp_path):
     reply = next(o for o in out if o.startswith("agent[")).split("> ", 1)[1]
     for q_line, texts in ((q_lines[0], user[:1]), (q_lines[1], [reply, user[1]])):
         X = embed_texts(texts, table)[None]
-        q = net.forward(X, [len(texts)], train_mode=False)[0]
+        q = net.forward(X, [len(texts)])[0]
         shown = [float(e.rstrip("*").split(":")[1]) for e in q_line[3:].split()]
         np.testing.assert_allclose(shown, q, atol=5e-4)

@@ -394,6 +394,20 @@ def test_study_needs_two_lengths(tiny_world):
         history_length_study(corpus, corpus, table, cfg, lengths=(5,))
 
 
+@pytest.mark.parametrize("lengths", [(5, 0), (0, 5), (3, -1, 5)])
+def test_study_refuses_a_bad_length_before_training(tiny_world, monkeypatch, lengths):
+    import chatdqn.reward_predictor as rp
+
+    def no_training(*args, **kw):
+        raise AssertionError("a regressor was trained")
+
+    monkeypatch.setattr(rp, "train_predictor", no_training)
+    table, corpus = tiny_world
+    cfg = PredictorConfig(runs=1, epochs=1, hidden_dim=4)
+    with pytest.raises(ValueError, match="history lengths must be >= 1"):
+        history_length_study(corpus, corpus, table, cfg, lengths=lengths)
+
+
 def test_study_deterministic(tiny_world):
     table, _ = tiny_world
     train_c = make_toy_corpus(6, topics=range(4), seed=17, id_prefix="tr")
