@@ -175,9 +175,10 @@ class EvalResult:
 def select_action(qvals, candidate_ids, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over the candidate clusters only.
 
-    Duplicate candidate ids collapse to a set; greedy ties break to the
-    lowest id. The rng is consumed identically on both branches so paired
-    evaluations stay aligned.
+    `qvals` is the Q-value vector, or a callable that returns it, which is
+    called only on a greedy step. Duplicate candidate ids collapse to a set;
+    greedy ties break to the lowest id. The rng is consumed identically on
+    both branches so paired evaluations stay aligned.
     """
     ids = sorted(set(int(i) for i in candidate_ids))
     if not ids:
@@ -186,7 +187,7 @@ def select_action(qvals, candidate_ids, epsilon: float, rng: np.random.Generator
     pick = ids[int(rng.integers(len(ids)))]  # drawn on both branches: keeps
     if explore:                              # stream consumption identical
         return pick
-    qvals = np.asarray(qvals)
+    qvals = np.asarray(qvals() if callable(qvals) else qvals)
     best = ids[0]
     for i in ids[1:]:
         if qvals[i] > qvals[best]:
@@ -347,6 +348,9 @@ def train(
     rewards: list[int] = []
     cap = cfg.history_len
 
+    def acting_q(state) -> np.ndarray:
+        return agent.net.forward(*env.batch_states([state.history_ids[-cap:]]))[0]
+
     while agent.global_step < cfg.learn_steps:
         d = split.dialogues[int(rng_episode.integers(len(split)))]
         state = env.reset(d)
@@ -354,9 +358,9 @@ def train(
         ep_rewards: list[int] = []
         while True:
             eps = epsilon_at(agent.global_step, cfg)
-            X, lengths = env.batch_states([state.history_ids[-cap:]])
-            q = agent.net.forward(X, lengths)[0]
-            action = select_action(q, cands.action_ids, eps, agent.rng_explore)
+            # an exploring step draws the same numbers and runs no forward
+            action = select_action(lambda: acting_q(state), cands.action_ids, eps,
+                                   agent.rng_explore)
             next_state, r, done = env.step(state, action, cands)
             next_cands = None if done else env.make_candidates(next_state, rng_cand)
             agent.memory.append(

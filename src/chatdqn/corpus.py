@@ -150,36 +150,45 @@ class DistortedDialogue:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read and validate a JSONL corpus; errors carry dialogue id and line."""
+    """Read and validate a JSONL corpus, one dialogue object per line. An
+    error starts with `<path>:<line>:` and names the dialogue once its id is
+    read."""
     dialogues: list[Dialogue] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSON at line {lineno}: {exc}") from None
-            did = obj.get("id")
-            if not isinstance(did, str) or not did:
-                raise ValueError(f"missing dialogue id at line {lineno}")
-            raw_turns = obj.get("turns")
-            if not isinstance(raw_turns, list):
-                raise ValueError(f"dialogue {did!r} at line {lineno}: missing turns")
-            turns = []
-            for t in raw_turns:
-                if not isinstance(t, dict) or "speaker" not in t or "text" not in t:
-                    raise ValueError(
-                        f"dialogue {did!r} at line {lineno}: malformed turn"
-                    )
-                turns.append(Turn(speaker=t["speaker"], text=t["text"]))
-            d = Dialogue(id=did, turns=tuple(turns))
-            try:
-                validate_dialogue(d)
+                dialogues.append(_parse_dialogue(line))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            dialogues.append(d)
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Corpus(dialogues)
+
+
+def _parse_dialogue(line: str) -> Dialogue:
+    """One corpus line's dialogue, validated."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    did = obj.get("id")
+    if not isinstance(did, str) or not did:
+        raise ValueError("missing dialogue id")
+    raw_turns = obj.get("turns")
+    if not isinstance(raw_turns, list):
+        raise ValueError(f"dialogue {did!r}: missing turns")
+    turns = []
+    for i, t in enumerate(raw_turns):
+        if not (isinstance(t, dict) and isinstance(t.get("speaker"), str)
+                and isinstance(t.get("text"), str)):
+            raise ValueError(f"dialogue {did!r}: turn {i} is not an object with "
+                             "string speaker and text")
+        turns.append(Turn(speaker=t["speaker"], text=t["text"]))
+    d = Dialogue(id=did, turns=tuple(turns))
+    validate_dialogue(d)
+    return d
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

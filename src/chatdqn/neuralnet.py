@@ -17,13 +17,17 @@ float64 networks.
 Sequence batches are (B, T, D) with a per-row `lengths` vector, and a GRU
 computes only their valid cells. It takes the rows longest first (a stable
 sort, skipped for a batch already in that order, as a single row or rows of
-equal length are), lays the valid cells out time-major, so that step t is
-one contiguous block of the rows still active, and writes each step's
-states back to the rows' own places. Padding therefore never influences
-outputs or gradients. In the returned (B, T, h) hidden states a step at or
-past a row's length repeats the row's final state, so the last time index
-always holds each row's final hidden state, and upstream gradient on such a
-cell reaches the row's last valid step. `pad_batch` is the one function
+equal length are), and lays the valid cells out time-major, so that step t
+is one contiguous block of the rows still active; the states it computes
+keep that layout. Padding therefore never influences outputs or gradients.
+In the (B, T, h) hidden states that `gru_forward` returns for a padded
+batch, a step at or past a row's length repeats the row's final state, so
+the last time index always holds each row's final hidden state, and
+upstream gradient on such a cell reaches the row's last valid step. A
+network packs its input once per call and its two layers pass packed cells
+to each other (`_Packed`): layer 2's input is layer 1's states of the valid
+cells, layer 1's upstream gradient is layer 2's input gradient on them, and
+what the head reads is each row's final state. `pad_batch` is the one function
 that makes such batches, for the Q-network's dialogue-history states and
 the reward study's history prefixes alike; its T is max(1, longest row),
 and both networks run to max(1, longest) steps, so a row of length 0 (or a
@@ -59,13 +63,30 @@ per layer a turn; `QNetwork.forward` is that call from the zero state. An
 h0 runs step 0's recurrent GEMMs, which add exact zeros for a zero row, and
 its cache has no backward pass: training (`forward_cached` in train mode)
 and the gradient checks always start from zero.
+
+Work buffers. Each network owns one workspace per GRU layer, and its layers
+share one more for their per-step temporaries (`_Workspace`). Only its
+train-mode calls use them (`forward_cached(..., train_mode=True)`, so
+`qnet_loss_and_grads` and `regressor_loss_and_grads`); eval-mode calls, the
+target network's among them, allocate fresh arrays, so a network that only
+evaluates holds no buffer. A buffer grows to the largest batch the network
+has trained on and lives as long as the network: the packed and cast
+input, the gate buffer, the states, the recurrent inputs the backward pass
+collects, the input gradient passed down, the stacked weights and the
+temporaries. A train-mode cache is therefore valid until that network's
+next train-mode forward. Q-values, predictions, carried states and
+gradients are never views of a buffer, and `astype` gives its copy
+workspaces of its own. Buffers are written with `out=` by the operations a
+fresh array would take, in the same order, so every bit is the same; a
+learn step reuses its memory instead of faulting in fresh pages from the
+allocator.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,11 +140,15 @@ def pad_batch(vectors: np.ndarray, rows: Sequence[Sequence[int]]):
     return X, lengths
 
 
-def sigmoid(x):
+def sigmoid(x, out: np.ndarray | None = None):
     """Logistic function as 0.5 * (1 + tanh(x / 2)), in the dtype of x
     (float64 for non-float input): no exp, so saturated gates cannot
-    overflow and need no branch."""
-    out = np.array(_floating(x))  # a copy; 0-d for a scalar
+    overflow and need no branch. `out`, a float array of x's shape, takes
+    the result; `sigmoid(a, out=a)` computes in place."""
+    if out is None:
+        out = np.array(_floating(x))  # a copy; 0-d for a scalar
+    elif out is not x:
+        out[...] = x
     out *= 0.5
     np.tanh(out, out=out)
     out += 1.0
@@ -155,37 +180,153 @@ def _check_gru_shapes(p: dict, x_dim: int, h_dim: int) -> None:
         )
 
 
-def _packing(lengths: np.ndarray, T: int):
-    """How a padded batch of these row lengths packs: (order, steps, cells).
+class _Workspace:
+    """Work buffers that one network's train-mode passes reuse across calls.
+
+    Each buffer has a key and a column count, and grows, to a power of two
+    of rows, to the largest batch it has served; `get` hands out its
+    leading rows, with stale contents. A layer keeps what outlives its call
+    (its cache) in its own workspace, and takes its per-step temporaries
+    from `scratch`, which the network's layers share.
+    """
+
+    def __init__(self, scratch: "_Workspace | None" = None):
+        self._bufs: dict = {}
+        self.scratch = self if scratch is None else scratch
+
+    def get(self, key: str, rows: int, cols: int, dtype) -> np.ndarray:
+        buf = self._bufs.get(key)
+        if buf is None or len(buf) < rows or buf.shape[1] != cols or buf.dtype != dtype:
+            buf = self._bufs[key] = np.empty((1 << max(rows - 1, 0).bit_length(), cols), dtype)
+        return buf[:rows]
+
+
+def _buffer(ws: _Workspace | None, key: str, rows: int, cols: int, dtype) -> np.ndarray:
+    """ws's buffer `key`, or a fresh array without a workspace."""
+    return np.empty((rows, cols), dtype) if ws is None else ws.get(key, rows, cols, dtype)
+
+
+class _Packing(NamedTuple):
+    """How a padded batch of these row lengths packs (see `_packing`)."""
+
+    lengths: np.ndarray  # (B,) in the rows' own order
+    order: np.ndarray | None
+    steps: list
+    cells: np.ndarray | None
+    ends: np.ndarray
+
+
+def _packing(lengths: np.ndarray, T: int) -> _Packing:
+    """How a padded batch of these row lengths packs.
 
     `order` is the stable sort of the rows by length, descending, or None for
     a batch already in that order (B = 1, equal lengths); in sorted order the
-    rows active at step t are the first `steps[t]`. `cells` indexes the
-    valid (row, step) cells of the padded batch time-major, step by step and
-    in sorted order within a step, or is None when every row runs all T
-    steps, whose packed layout is the batch with its first two axes swapped.
+    rows active at step t are the first `steps[t]`. `cells` holds the index
+    b * T + t of each valid (row b, step t) cell of the padded batch,
+    time-major, step by step and in sorted order within a step, or is None
+    when every row runs all T steps, whose packed layout is the batch with
+    its first two axes swapped. `ends` holds the packed index of each sorted
+    row's last cell, for the rows of length > 0, which sort first.
     """
     B = len(lengths)
     order = None
+    srt = lengths
     if B > 1 and (lengths[1:] > lengths[:-1]).any():
         order = np.argsort(-lengths, kind="stable")
-        lengths = lengths[order]
-    if B == 0 or lengths[-1] >= T:
-        return order, [B] * T, None
-    valid = np.arange(T)[:, None] < lengths  # (T, B), sorted rows
+        srt = lengths[order]
+    if B == 0 or srt[-1] >= T:
+        return _Packing(lengths, order, [B] * T, None, np.arange((T - 1) * B, T * B))
+    valid = np.arange(T)[:, None] < srt  # (T, B), sorted rows
     ts, rows = np.nonzero(valid)
-    cells = (rows if order is None else order[rows], ts)
-    return order, np.count_nonzero(valid, axis=1).tolist(), cells
+    cells = (rows if order is None else order[rows]) * T + ts
+    steps = np.count_nonzero(valid, axis=1)
+    live = srt[: np.count_nonzero(srt)]
+    ends = (np.cumsum(steps) - steps)[live - 1] + np.arange(len(live))
+    return _Packing(lengths, order, steps.tolist(), cells, ends)
 
 
-def _pack(A: np.ndarray, cells) -> np.ndarray:
-    """The valid cells of a padded (B, T, F) array, time-major: (N, F)."""
-    if cells is None:
-        return A.swapaxes(0, 1).reshape(-1, A.shape[2])
-    return A[cells]
+class _Packed:
+    """A padded (B, T, F) batch held as its valid cells.
+
+    `cells` is (N, F), time-major by `packing`; `last` is (B, F), in the
+    rows' own order: a GRU's final states (a row of length 0 keeps its
+    initial state), or the gradient that arrives on them; either may be
+    None. `shape` is the padded batch's. A Q-network or regressor call packs
+    its input once, and its two layers pass packed cells to each other.
+    """
+
+    __slots__ = ("cells", "last", "packing", "shape")
+
+    def __init__(self, cells, last, packing: _Packing, shape: tuple):
+        self.cells, self.last, self.packing, self.shape = cells, last, packing, shape
 
 
-def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray, h0: np.ndarray | None = None):
+def _pack(X: np.ndarray, packing: _Packing, dtype, ws: _Workspace | None = None) -> _Packed:
+    """The valid cells of a padded (B, T, F) batch, cast to dtype; with ws,
+    in its buffer "X"."""
+    B, T, F = X.shape
+    if packing.cells is None:
+        if ws is None:
+            cells = X.swapaxes(0, 1).reshape(-1, F).astype(dtype, copy=False)
+        else:
+            cells = ws.get("X", T * B, F, dtype)
+            np.copyto(cells.reshape(T, B, F), X.swapaxes(0, 1))
+    elif ws is None:
+        cells = X.reshape(B * T, F)[packing.cells].astype(dtype, copy=False)
+    else:
+        # gathered in X's dtype, then cast: a take into an array of another
+        # dtype would cast that array's old contents first
+        cells = ws.get("X", len(packing.cells), F, dtype)
+        src = X.reshape(B * T, F)
+        np.copyto(cells, np.take(src, packing.cells, axis=0, mode="clip",
+                                 out=ws.scratch.get("gather", len(cells), F, src.dtype)))
+    return _Packed(cells, None, packing, (B, T, F))
+
+
+def _pack_input(X: np.ndarray, lengths, dtype, ws: _Workspace | None = None) -> _Packed:
+    """A network's input batch, packed to run max(1, longest) steps."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    T = _width(lengths)
+    return _pack(X[:, :T], _packing(lengths, T), dtype, ws)
+
+
+def _padded(P: _Packed, frozen=None) -> np.ndarray:
+    """P as a fresh padded (B, T, F) array: its cells, and `frozen` (B, F)
+    or zeros on the cells past each row's length."""
+    B, T, F = P.shape
+    A = np.empty((B, T, F), dtype=P.cells.dtype)
+    A[...] = 0.0 if frozen is None else frozen[:, None]
+    if P.packing.cells is None:
+        A.swapaxes(0, 1)[...] = P.cells.reshape(T, B, F)
+    else:
+        A.reshape(B * T, F)[P.packing.cells] = P.cells
+    return A
+
+
+def _upstream(dH: np.ndarray, packing: _Packing, dtype) -> _Packed:
+    """A padded (B, T, h) upstream gradient as packed cells, in its own
+    dtype, and, in the layer's dtype, each row's gradients past its length,
+    summed in the order the backward pass meets them: last step first."""
+    dH = np.asarray(dH)
+    B, T, h = dH.shape
+    P = _pack(dH, packing, dH.dtype)
+    P.last = np.zeros((B, h), dtype=dtype)
+    for t in range(T - 1, -1, -1):
+        frozen = packing.lengths <= t
+        P.last[frozen] += dH[frozen, t]
+    return P
+
+
+def _rowmajor(packing: _Packing, shape: tuple) -> np.ndarray:
+    """The packed index of each valid cell, in row-major (row, step) order."""
+    B, T, _ = shape
+    if packing.cells is None:
+        return np.arange(T * B).reshape(T, B).T.ravel()
+    return np.argsort(packing.cells)
+
+
+def gru_forward(p: dict, X, lengths: np.ndarray, h0: np.ndarray | None = None,
+                ws: _Workspace | None = None):
     """Run a GRU layer over a padded batch.
 
     X: (B, T, D); lengths: (B,) ints in [0, T]. Returns (H, cache) with
@@ -195,69 +336,113 @@ def gru_forward(p: dict, X: np.ndarray, lengths: np.ndarray, h0: np.ndarray | No
     still active. The cache holds the gate buffer that `gru_backward`
     overwrites, so it serves exactly one backward pass.
 
+    X may instead be a `_Packed` batch, in the layer's dtype (`_pack`, or
+    the H of a layer below over the same rows); H is then packed too, its
+    cells the states of the valid cells and its `last` each row's final
+    state, and `lengths` is read from X's packing.
+
     h0: the (B, h) initial hidden states, in the rows' order, to continue
     each row from where an earlier call over its preceding cells ended; a
     row of length 0 keeps its h0. None is the zero state, whose step 0
     skips the recurrent GEMMs. A cache made from an h0 cannot be
     backpropagated.
+
+    ws: the layer's workspace; the gates, states, stacked weights and
+    packed input then live in its buffers, and so do the cache's, until the
+    workspace's next call. The H returned for a padded X is always fresh.
     """
+    packed = isinstance(X, _Packed)
     B, T, D = X.shape
     hd = p["W_z"].shape[0]
     _check_gru_shapes(p, D, hd)
     if h0 is not None and np.shape(h0) != (B, hd):
         raise ValueError(f"initial state of shape {np.shape(h0)} for {B} rows "
                          f"of hidden dim {hd}")
-    W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]))  # (3h, D)
-    U_zr = np.concatenate((p["U_z"], p["U_r"]))         # (2h, h)
+    dtype = p["W_z"].dtype
+    # out=None (no workspace) lets numpy allocate
+    W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]), out=ws and ws.get("W", 3 * hd, D, dtype))
+    U_zr = np.concatenate((p["U_z"], p["U_r"]), out=ws and ws.get("U", 2 * hd, hd, dtype))
     U_h = p["U_h"]
-    order, steps, cells = _packing(np.asarray(lengths), T)
+    b = np.concatenate((p["b_z"], p["b_r"], p["b_h"]), out=ws and ws.get("b", 1, 3 * hd, dtype)[0])
+    P = X if packed else _pack(X, _packing(np.asarray(lengths), T), dtype, ws)
+    order, steps, ends = P.packing.order, P.packing.steps, P.packing.ends
+    N = len(P.cells)
     # G: one row per valid cell, step t's rows after step t - 1's; each row
     # holds [a_z a_r a_h] input pre-activations, then [z r h~]
-    G = _pack(X, cells).astype(W.dtype, copy=False) @ W.T
-    G += np.concatenate((p["b_z"], p["b_r"], p["b_h"]))
-    H = np.empty((B, T, hd), dtype=W.dtype)
-    # sorted rows; frozen ones keep their state
+    G = np.matmul(P.cells, W.T, out=ws and ws.get("G", N, 3 * hd, dtype))
+    G += b
+    # Hs: the state of each valid cell, in G's layout; a step reads its
+    # rows' previous states from the leading rows of the step before
+    Hs = _buffer(ws, "H", N, hd, dtype)
+    scratch = ws and ws.scratch
     carried = h0 is not None
     if carried:
-        h = np.array(h0 if order is None else h0[order], dtype=W.dtype)
+        h_prev = np.asarray(h0, dtype=dtype)
+        if order is not None:
+            h_prev = h_prev[order]
     else:
-        h = np.zeros((B, hd), dtype=W.dtype)
-    rows = slice(None) if order is None else order  # where each sorted row goes in H
+        h_prev = _buffer(scratch, "h0", B, hd, dtype)
+        h_prev.fill(0.0)
+    h_init = h_prev
+    # a step's gates are computed in contiguous temporaries, which elementwise
+    # kernels run faster on than on the gate buffer's column blocks, and
+    # then copied into its rows
+    t_zr = _buffer(scratch, "zr", B, 2 * hd, dtype)
+    t_h = _buffer(scratch, "h~", B, hd, dtype)
+    t_rh = _buffer(scratch, "rh", B, hd, dtype)
     start = 0
     for t, n in enumerate(steps):
-        g = G[start : start + n]
+        g, h = G[start : start + n], Hs[start : start + n]
         start += n
-        a_zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
-        h_act = h[:n]
-        recurrent = t > 0 or carried  # a zero h_prev has no recurrent terms
-        if recurrent:
-            a_zr += h_act @ U_zr.T
-        zr = sigmoid(a_zr)
-        a_zr[...] = zr
-        z, r = zr[:, :hd], zr[:, hd:]
-        if recurrent:
-            h_til += (r * h_act) @ U_h.T
+        h_prev = h_prev[:n]
+        a_zr, a_h = g[:, : 2 * hd], g[:, 2 * hd :]
+        zr, h_til = t_zr[:n], t_h[:n]
+        if t > 0 or carried:  # a zero h_prev has no recurrent terms
+            np.matmul(h_prev, U_zr.T, out=zr)
+            zr += a_zr
+            sigmoid(zr, out=zr)
+            np.matmul(np.multiply(zr[:, hd:], h_prev, out=t_rh[:n]), U_h.T, out=h_til)
+            h_til += a_h
+        else:
+            sigmoid(a_zr, out=zr)
+            h_til[...] = a_h
         np.tanh(h_til, out=h_til)
-        h_act += z * (h_til - h_act)
-        H[rows, t] = h
-    cache = {"X": X, "G": G, "H": H, "order": order, "steps": steps, "cells": cells,
-             "W": W, "U_zr": U_zr, "U_h": U_h, "carried": carried}
-    return H, cache
+        a_zr[...] = zr
+        a_h[...] = h_til
+        np.subtract(h_til, h_prev, out=h)  # h = h_prev + z * (h~ - h_prev)
+        h *= zr[:, :hd]
+        h += h_prev
+        h_prev = h
+    # each row's final state: its last cell's, or its initial state for a
+    # row of length 0 (those sort last)
+    last = Hs[ends]
+    if len(ends) < B:
+        last = np.concatenate((last, h_init[len(ends) :]))
+    if order is not None:
+        last[order] = last.copy()
+    H = _Packed(Hs, last, P.packing, (B, T, hd))
+    cache = {"X": P, "G": G, "H": H, "W": W, "U_zr": U_zr, "U_h": U_h,
+             "carried": carried, "ws": ws}
+    return (H if packed else _padded(H, last)), cache
 
 
-def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
+def gru_backward(cache: dict, dH, input_grad: bool = True):
     """Backprop through `gru_forward`, consuming its cache.
 
     dH: (B, T, h) upstream gradients on each H[:, t] (zeros where none); a
-    frozen cell's gradient flows to its row's last valid step.
+    frozen cell's gradient flows to its row's last valid step. For a packed
+    forward, dH is a `_Packed` whose cells (or None) hold the gradients on
+    the valid cells and whose `last` (or None) the gradients on the final
+    states.
     Returns (grads, dX): parameter-gradient dict with the layer's key names,
-    and the (B, T, D) gradient w.r.t. the input batch, zero on padding, or
-    None with input_grad=False (a first layer, whose input has no
-    parameters). The steps run in reverse over the forward's packed cells;
-    each step's rows of the gate buffer are overwritten with their
-    pre-activation gradients, which then give dW, db, dX, dU_zr and dU_h as
-    one GEMM each; a second call on the same cache raises, and so does a
-    cache made from an initial state h0.
+    and the gradient w.r.t. the input batch, or None with input_grad=False
+    (a first layer, whose input has no parameters). dX is (B, T, D), zero on
+    padding, for a padded forward, and packed for a packed one, in the
+    workspace's buffer "dX" when the forward had one. The steps run in
+    reverse over the forward's packed cells; each step's rows of the gate
+    buffer are overwritten with their pre-activation gradients, which then
+    give dW, db, dX, dU_zr and dU_h as one GEMM each; a second call on the
+    same cache raises, and so does a cache made from an initial state h0.
     """
     if cache["carried"]:
         raise ValueError("GRU cache made from an initial state h0: only the "
@@ -265,57 +450,79 @@ def gru_backward(cache: dict, dH: np.ndarray, input_grad: bool = True):
     G = cache.pop("G", None)
     if G is None:
         raise ValueError("GRU cache already consumed by a backward pass")
-    X, H, order, steps, cells = (cache[k] for k in ("X", "H", "order", "steps", "cells"))
+    P, Hs, ws = cache["X"], cache["H"].cells, cache["ws"]
     W, U_zr, U_h = cache["W"], cache["U_zr"], cache["U_h"]
-    B, T, D = X.shape
+    order, steps = P.packing.order, P.packing.steps
+    B, T, D = P.shape
     hd = U_h.shape[0]
-    if order is not None:  # sorted rows, as the forward ran them
-        H, dH = H[order], dH[order]
+    dtype = G.dtype
+    packed = isinstance(dH, _Packed)
+    if not packed:
+        dH = _upstream(dH, P.packing, dtype)
+    scratch = ws and ws.scratch
+    gh = _buffer(scratch, "gh", B, hd, dtype)  # sorted rows; waits for a row's steps
+    gh.fill(0.0)
+    if dH.last is not None:
+        gh += dH.last if order is None else dH.last[order]
+    dHc = dH.cells
     # the recurrent inputs h_prev and r * h_prev of every cell past step 0,
     # for one dU GEMM each after the loop
     n0 = steps[0]
-    HP = np.empty((len(G) - n0, hd), dtype=G.dtype)
-    RHP = np.empty_like(HP)
-    gh = np.zeros((B, hd), dtype=G.dtype)  # frozen rows accumulate, untouched
+    HP = _buffer(ws, "HP", len(G) - n0, hd, dtype)
+    RHP = _buffer(ws, "RHP", len(G) - n0, hd, dtype)
+    t_e, t_sq, t_drh, t_f, t_u = (_buffer(scratch, k, B, hd, dtype)
+                                  for k in ("e", "sq", "drh", "f", "u"))
+    t_s = _buffer(scratch, "s", B, 2 * hd, dtype)
     end = len(G)
     for t in range(T - 1, -1, -1):
-        gh += dH[:, t]
         n = steps[t]
         g = G[end - n : end]
         end -= n
         zr, h_til = g[:, : 2 * hd], g[:, 2 * hd :]
         z, r = zr[:, :hd], zr[:, hd:]
         gm = gh[:n]
-        da_h = gm * z * (1.0 - h_til * h_til)
-        dzr = zr * (1.0 - zr)
+        if dHc is not None:
+            gm += dHc[end : end + n]
+        e, sq = t_e[:n], t_sq[:n]
         if t == 0:  # h_prev = 0: no dU terms, no r gradient, nothing upstream
-            dzr[:, :hd] *= gm * h_til
-            dzr[:, hd:] = 0.0
+            np.multiply(gm, h_til, out=e)
         else:
+            prev = end - steps[t - 1]
+            h_prev = Hs[prev : prev + n]
+            np.subtract(h_til, h_prev, out=e)
+            e *= gm
+        np.multiply(h_til, h_til, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        da_h = np.multiply(gm, z, out=h_til)  # gm * z * (1 - h~^2), in place
+        da_h *= sq
+        if t > 0:
             past = slice(end - n0, end - n0 + n)  # this step's rows of HP and RHP
-            h_prev = HP[past]
-            h_prev[...] = H[:n, t - 1]
+            HP[past] = h_prev
             np.multiply(r, h_prev, out=RHP[past])
-            drh = da_h @ U_h
-            dzr[:, :hd] *= gm * (h_til - h_prev)
-            dzr[:, hd:] *= drh * h_prev
-            dh_prev = gm * (1.0 - z) + drh * r
-            dh_prev += dzr @ U_zr
-            gh[:n] = dh_prev
-        g[:, : 2 * hd] = dzr
-        g[:, 2 * hd :] = da_h
+            drh = np.matmul(da_h, U_h, out=t_drh[:n])
+            f = np.multiply(drh, h_prev, out=t_f[:n])
+            # dh_prev = gm * (1 - z) + drh * r + dzr @ U_zr, into gm
+            np.subtract(1.0, z, out=sq)
+            np.multiply(gm, sq, out=gm)
+            gm += np.multiply(drh, r, out=sq)
+        s = np.subtract(1.0, zr, out=t_s[:n])
+        zr *= s  # dzr = zr * (1 - zr) * upstream, in place
+        zr[:, :hd] *= e
+        if t == 0:
+            zr[:, hd:] = 0.0
+        else:
+            zr[:, hd:] *= f
+            gm += np.matmul(zr, U_zr, out=t_u[:n])
     dU_zr = G[n0:, : 2 * hd].T @ HP
     dU_h = G[n0:, 2 * hd :].T @ RHP
-    dW = G.T @ _pack(X, cells).astype(G.dtype, copy=False)
+    dW = G.T @ P.cells
     db = G.sum(axis=0)
     dX = None
     if input_grad:
-        dXp = G @ W
-        if cells is None:
-            dX = dXp.reshape(T, B, D).swapaxes(0, 1)
-        else:
-            dX = np.zeros((B, T, D), dtype=G.dtype)
-            dX[cells] = dXp
+        dXc = np.matmul(G, W, out=ws and ws.get("dX", len(G), D, dtype))
+        dX = _Packed(dXc, None, P.packing, P.shape)
+        if not packed:
+            dX = _padded(dX)
     grads = {}
     for i, gate in enumerate(("z", "r", "h")):
         rows = slice(i * hd, (i + 1) * hd)
@@ -422,19 +629,34 @@ def _raise_on_bad_grads(grads: dict) -> None:
 
 
 class _Network:
-    """Parameter loading and dtype casts shared by the two networks, whose
-    `params()` returns flat name -> array views."""
+    """Parameter loading, dtype casts and the train-mode workspaces shared by
+    the two networks, whose `params()` returns flat name -> array views."""
+
+    def release_buffers(self) -> None:
+        """Drop the train-mode work buffers, as a trained network that from
+        now on only predicts should; a later train-mode call grows new ones.
+        A network holds one workspace per GRU layer, sharing their per-step
+        scratch."""
+        scratch = _Workspace()
+        self._ws = (_Workspace(scratch), _Workspace(scratch))
+
+    def _input(self, X: np.ndarray, lengths, train_mode: bool):
+        """(packed input, per-layer workspaces): train mode packs into and
+        runs on the network's workspaces, eval mode on fresh arrays."""
+        ws = self._ws if train_mode else (None, None)
+        return _pack_input(X, lengths, self.gru1["W_z"].dtype, ws[0]), ws
 
     def astype(self, dtype) -> "_Network":
         """A copy with every parameter and buffer (the batch-norm running
-        statistics included) cast to dtype; the network then computes in
-        dtype."""
+        statistics included) cast to dtype, and workspaces of its own; the
+        network then computes in dtype."""
         other = copy.copy(self)
         for name, value in vars(self).items():
             if isinstance(value, dict):
                 setattr(other, name, {k: v.astype(dtype) for k, v in value.items()})
             elif isinstance(value, np.ndarray):
                 setattr(other, name, value.astype(dtype))
+        other.release_buffers()
         return other
 
     def load_params(self, flat: dict) -> None:
@@ -469,6 +691,7 @@ class QNetwork(_Network):
             "W": glorot_uniform(rng, n_actions, hidden_dim),
             "b": np.zeros(n_actions, dtype=np.float64),
         }
+        self.release_buffers()  # none until the first train-mode call
 
     def params(self) -> dict:
         """Flat name -> array view (shared references, not copies)."""
@@ -481,10 +704,10 @@ class QNetwork(_Network):
                        rng: np.random.Generator | None = None):
         """(Q, cache) on a (B, T, m) batch, run to max(1, longest) steps;
         rows of length 0 keep the zero state and see only the head bias."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        H1, c1 = gru_forward(self.gru1, X[:, : _width(lengths)], lengths)
-        H2, c2 = gru_forward(self.gru2, H1, lengths)
-        h_drop, drop_mask = dropout(H2[:, -1], self.dropout_rate, train_mode, rng)
+        P, (ws1, ws2) = self._input(X, lengths, train_mode)
+        H1, c1 = gru_forward(self.gru1, P, lengths, ws=ws1)
+        H2, c2 = gru_forward(self.gru2, H1, lengths, ws=ws2)
+        h_drop, drop_mask = dropout(H2.last, self.dropout_rate, train_mode, rng)
         cache = {"c1": c1, "c2": c2, "h_drop": h_drop, "drop_mask": drop_mask}
         return self._head(h_drop), cache
 
@@ -498,11 +721,11 @@ class QNetwork(_Network):
         after the row's earlier sentences (None or a zero row: the zero
         state, bit for bit); the returned state is the one after this
         batch, to pass back with the row's following sentences."""
-        lengths = np.asarray(lengths, dtype=np.int64)
         h1, h2 = (None, None) if state is None else state
-        H1, _ = gru_forward(self.gru1, X[:, : _width(lengths)], lengths, h1)
+        P, _ = self._input(X, lengths, train_mode=False)
+        H1, _ = gru_forward(self.gru1, P, lengths, h1)
         H2, _ = gru_forward(self.gru2, H1, lengths, h2)
-        return self._head(H2[:, -1]), np.stack((H1[:, -1], H2[:, -1]))
+        return self._head(H2.last), np.stack((H1.last, H2.last))
 
     def _head(self, h: np.ndarray) -> np.ndarray:
         Q = h @ self.head["W"].T + self.head["b"]
@@ -520,9 +743,8 @@ class QNetwork(_Network):
             dh_last = dh_drop * cache["drop_mask"]
         else:
             dh_last = dh_drop
-        dH2 = np.zeros_like(cache["c2"]["H"])
-        dH2[:, -1] = dh_last
-        g2, dH1 = gru_backward(cache["c2"], dH2)
+        H2 = cache["c2"]["H"]
+        g2, dH1 = gru_backward(cache["c2"], _Packed(None, dh_last, H2.packing, H2.shape))
         g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
         grads.update(_flat("gru1", g1))
         grads.update(_flat("gru2", g2))
@@ -582,6 +804,7 @@ class RewardRegressor(_Network):
         self.bn1_var = np.ones(hidden_dim, dtype=np.float64)
         self.bn2_mean = np.zeros(hidden_dim, dtype=np.float64)
         self.bn2_var = np.ones(hidden_dim, dtype=np.float64)
+        self.release_buffers()  # none until the first train-mode call
 
     def params(self) -> dict:
         out = _flat("gru1", self.gru1)
@@ -593,18 +816,21 @@ class RewardRegressor(_Network):
 
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False):
         """(preds, cache) on a (B, T, m) batch, run to max(1, longest) steps."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        H1, c1 = gru_forward(self.gru1, X[:, : _width(lengths)], lengths)
-        valid = np.arange(H1.shape[1])[None, :] < lengths[:, None]  # (B, T)
+        P, (ws1, ws2) = self._input(X, lengths, train_mode)
+        H1, c1 = gru_forward(self.gru1, P, lengths, ws=ws1)
+        # batch norm 1 runs over the valid cells in row-major (row, step)
+        # order; `rowmajor` takes them there from the packed order
+        rowmajor = _rowmajor(P.packing, P.shape)
         ys, bn1_cache = batchnorm_forward(
-            H1[valid], self.bn1["gamma"], self.bn1["beta"], self.bn1_mean, self.bn1_var,
-            train_mode,
+            H1.cells[rowmajor], self.bn1["gamma"], self.bn1["beta"], self.bn1_mean,
+            self.bn1_var, train_mode,
         )
-        H1n = np.zeros_like(H1)
-        H1n[valid] = ys
-        H2, c2 = gru_forward(self.gru2, H1n, lengths)
+        X2 = np.empty_like(ys)
+        X2[rowmajor] = ys
+        H2, c2 = gru_forward(self.gru2, _Packed(X2, None, P.packing, H1.shape), lengths,
+                             ws=ws2)
         h_norm, bn2_cache = batchnorm_forward(
-            H2[:, -1], self.bn2["gamma"], self.bn2["beta"], self.bn2_mean, self.bn2_var,
+            H2.last, self.bn2["gamma"], self.bn2["beta"], self.bn2_mean, self.bn2_var,
             train_mode,
         )
         preds = h_norm @ self.head["W"][0] + self.head["b"][0]
@@ -612,7 +838,7 @@ class RewardRegressor(_Network):
             raise FloatingPointError("non-finite regressor output")
         cache = {
             "c1": c1, "c2": c2, "bn1": bn1_cache, "bn2": bn2_cache,
-            "valid": valid, "h_norm": h_norm,
+            "rowmajor": rowmajor, "h_norm": h_norm,
         }
         return preds, cache
 
@@ -628,15 +854,14 @@ class RewardRegressor(_Network):
         dh_last, dg2, db2 = batchnorm_backward(cache["bn2"], dh_norm)
         grads["bn2.gamma"] = dg2
         grads["bn2.beta"] = db2
-        dH2 = np.zeros_like(cache["c2"]["H"])
-        dH2[:, -1] = dh_last
-        g2, dH1n = gru_backward(cache["c2"], dH2)
-        dxs, dg1, db1 = batchnorm_backward(cache["bn1"], dH1n[cache["valid"]])
+        H2, rowmajor = cache["c2"]["H"], cache["rowmajor"]
+        g2, dX2 = gru_backward(cache["c2"], _Packed(None, dh_last, H2.packing, H2.shape))
+        dxs, dg1, db1 = batchnorm_backward(cache["bn1"], dX2.cells[rowmajor])
         grads["bn1.gamma"] = dg1
         grads["bn1.beta"] = db1
-        dH1 = np.zeros_like(dH1n)
-        dH1[cache["valid"]] = dxs
-        g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
+        dX2.cells = np.empty_like(dxs)
+        dX2.cells[rowmajor] = dxs
+        g1, _ = gru_backward(cache["c1"], dX2, input_grad=False)
         grads.update(_flat("gru1", g1))
         grads.update(_flat("gru2", g2))
         _raise_on_bad_grads(grads)

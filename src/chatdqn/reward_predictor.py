@@ -98,7 +98,7 @@ def train_predictor(
 ) -> RewardRegressor:
     """Minibatch MSE training with Adam on the padded histories X (with their
     lengths) against the reward labels y; fully seeded. The regressor
-    computes in float32.
+    computes in float32, and is returned without its training buffers.
 
     Train-mode batch norm needs >= 2 rows, so a batch of size 1 (singleton
     dataset, or a trailing remainder of 1) is duplicated: the mean gradient
@@ -122,6 +122,7 @@ def train_predictor(
                 model, X[idx], lengths[idx], y[idx], train_mode=True,
             )
             optimizer.step(model.params(), grads)
+    model.release_buffers()
     return model
 
 

@@ -434,6 +434,47 @@ def test_history_window_shorter_than_the_dialogues(monkeypatch, cap):
     assert restarts and set(restarts) == {(cap, False)}
 
 
+def test_train_runs_the_acting_forward_only_on_greedy_steps(train_world, monkeypatch):
+    # an exploring step draws the same two numbers and skips the forward:
+    # one online forward per greedy step, and the same run as one that
+    # computes Q on every step
+    table, corpus, model, vectors = train_world
+    cfg = AgentConfig(
+        n_actions=model.k, embedding_dim=table.dim, hidden_dim=6,
+        burn_in=30, learn_steps=120, batch_size=8, memory_capacity=200,
+        target_sync_period=40, test_steps=100, epsilon_decay_steps=40, seed=9,
+    )
+    greedy, online = [], []  # per step: greedy or not; per online forward: rows
+
+    def counting_select(qvals, ids, eps, rng):
+        probe = np.random.default_rng()  # replays the explore draw
+        probe.bit_generator.state = rng.bit_generator.state
+        greedy.append(not probe.random() < eps)
+        return select_action(qvals, ids, eps, rng)
+
+    forward = QNetwork.forward
+
+    def counting_forward(self, X, lengths):
+        if self.head["W"].dtype == np.float32:  # the online net; the target is float64
+            online.append(len(lengths))
+        return forward(self, X, lengths)
+
+    monkeypatch.setattr(agent_module, "select_action", counting_select)
+    monkeypatch.setattr(QNetwork, "forward", counting_forward)
+    report, agent, _ = train(corpus, cfg, model, vectors)
+    assert 0 < sum(greedy) < len(greedy) == report.steps
+    assert online == [1] * sum(greedy)
+
+    def eager_select(qvals, ids, eps, rng):  # Q computed on every step
+        return select_action(qvals(), ids, eps, rng)
+
+    monkeypatch.setattr(agent_module, "select_action", eager_select)
+    eager_report, eager_agent, _ = train(corpus, cfg, model, vectors)
+    assert eager_report.episode_rewards == report.episode_rewards
+    for name, p in agent.net.params().items():
+        assert np.array_equal(p, eager_agent.net.params()[name]), name
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_learn_step_stays_in_the_networks_dtype(train_world, dtype):
     # the agent builds a float32 online network and a float64 target network;

@@ -342,6 +342,20 @@ def test_embed_dim_mismatch(cli_world, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("line", [
+    "[]",
+    '{"id": "a", "turns": [{"speaker": "env", "text": 7}, {"speaker": "agent", "text": "y"}]}',
+], ids=["list", "number-text"])
+def test_embed_malformed_corpus_line_is_error(cli_world, tmp_path, capsys, line):
+    root, _, _ = cli_world
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    rc = main(["embed", "--embeddings", str(root / "emb6.txt"), "--dim", "6",
+               "--corpus", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
+
+
 def test_cluster_sentences_and_dialogues(cli_world, tmp_path, capsys):
     root, _, _ = cli_world
     for what, k in (("sentences", "4"), ("dialogues", "2")):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,7 +93,22 @@ def test_load_corpus_bad_line_is_reported_with_number(tmp_path):
                               {"speaker": "agent", "text": "y"}]}
     )
     path.write_text(good + "\nnot json\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed JSON"):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize("bad", [
+    [],
+    {"id": "b", "turns": [{"speaker": "env", "text": 7}, {"speaker": "agent", "text": "y"}]},
+], ids=["list", "number-text"])
+def test_load_corpus_refuses_a_malformed_line_by_name(tmp_path, bad):
+    path = tmp_path / "c.jsonl"
+    good = json.dumps(
+        {"id": "a", "turns": [{"speaker": "env", "text": "x"},
+                              {"speaker": "agent", "text": "y"}]}
+    )
+    path.write_text(good + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
         load_corpus(str(path))
 
 

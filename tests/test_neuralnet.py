@@ -25,6 +25,7 @@ from chatdqn.neuralnet import (
     regressor_loss_and_grads,
     sigmoid,
 )
+from chatdqn.neuralnet import _Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +617,139 @@ def test_packed_gru_matches_padded_loop_on_a_ragged_batch():
 
 
 # ---------------------------------------------------------------------------
+# work buffers: a network's train-mode calls reuse them, and nothing a call
+# returns is a view of them
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_buffered_gru_is_bit_equal_to_the_fresh_one(dtype):
+    # ragged, unsorted and equal-length batches through one workspace, a
+    # larger batch first, so later calls run on stale, oversized buffers;
+    # each equals the same call without a workspace bit for bit, and the
+    # padded loop as closely as the unbuffered GRU does
+    rng = np.random.default_rng(56)
+    p = {k: v.astype(dtype) for k, v in init_gru_params(rng, 3, 4).items()}
+    ws = _Workspace()
+    batches = [(9, [2, 7, 1, 7, 5, 3, 6, 4, 2]), (7, RAGGED_LENGTHS), (3, [5, 5, 5]), (1, [5])]
+    for B, lengths in batches:
+        X, lengths = tiny_batch(rng, B=B, L=7 if B == 9 else 5, m=3, lengths=lengths)
+        dH = rng.normal(size=X.shape[:2] + (4,))
+        H, cache = gru_forward(p, X, lengths, ws=ws)
+        grads, dX = gru_backward(cache, dH)
+        H_ref, cache_ref = gru_forward(p, X, lengths)
+        grads_ref, dX_ref = gru_backward(cache_ref, dH)
+        np.testing.assert_array_equal(H, H_ref)
+        np.testing.assert_array_equal(dX, dX_ref)
+        for name in grads_ref:
+            np.testing.assert_array_equal(grads[name], grads_ref[name])
+        H_pad, state = padded_gru_forward(p, X, lengths)
+        grads_pad, dX_pad = padded_gru_backward(state, dH)
+        if len(set(lengths.tolist())) == 1:  # already packed: the padded loop's bits
+            np.testing.assert_array_equal(H, H_pad)
+            np.testing.assert_array_equal(dX, dX_pad)
+        tol = 1e-14 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(H, H_pad, rtol=0, atol=tol)
+        np.testing.assert_allclose(dX, dX_pad, rtol=0, atol=tol)
+        for name in grads_pad:
+            np.testing.assert_allclose(grads[name], grads_pad[name], rtol=0, atol=tol)
+
+
+def _held(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def test_results_held_from_one_call_survive_the_next():
+    rng = np.random.default_rng(57)
+    net = QNetwork(3, 4, 5, rng=np.random.default_rng(58)).astype(np.float32)
+    target = net.astype(np.float64)
+    X1, l1 = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    X2, l2 = tiny_batch(rng, B=9, L=6, m=3)
+    # online train-mode Q against the target's, and the grads of one
+    # backward, across the next train-mode forward
+    Q1, cache = net.forward_cached(X1, l1, train_mode=True, rng=np.random.default_rng(1))
+    Qt = target.forward(X1, l1)
+    grads = net.backward(cache, np.ones_like(Q1))
+    want = _held(Q1, Qt, *grads.values())
+    net.forward_cached(X2, l2, train_mode=True, rng=np.random.default_rng(2))
+    target.forward(X2, l2)
+    for got, held in zip([Q1, Qt, *grads.values()], want):
+        np.testing.assert_array_equal(got, held)
+    # two evaluation rounds, each carrying the state on
+    Qa, state_a = net.forward_carried(X1, l1)
+    want = _held(Qa, state_a)
+    net.forward_carried(X1[:, :2], np.minimum(l1, 2), state_a)
+    net.forward_cached(X2, l2, train_mode=True, rng=np.random.default_rng(3))
+    for got, held in zip((Qa, state_a), want):
+        np.testing.assert_array_equal(got, held)
+    # two regressor batches, in train and in eval mode
+    reg = RewardRegressor(3, 4, rng=np.random.default_rng(59)).astype(np.float32)
+    p1, rcache = reg.forward_cached(X1, l1, train_mode=True)
+    rgrads = reg.backward(rcache, np.ones_like(p1))
+    e1 = reg.forward(X1, l1)
+    want = _held(p1, e1, *rgrads.values())
+    reg.forward_cached(X2, l2, train_mode=True)
+    reg.forward(X2, l2)
+    for got, held in zip([p1, e1, *rgrads.values()], want):
+        np.testing.assert_array_equal(got, held)
+
+
+def _buffers(net):
+    return [b for ws in net._ws for w in (ws, ws.scratch) for b in w._bufs.values()]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QNetwork(3, 4, 5, rng=np.random.default_rng(60)),
+    lambda: RewardRegressor(3, 4, rng=np.random.default_rng(61)),
+], ids=["qnet", "regressor"])
+def test_astype_copies_share_no_buffer_with_their_source(make):
+    rng = np.random.default_rng(62)
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    net = make()
+    for dtype in (np.float64, np.float32):
+        copies = [net, net.astype(dtype)]
+        for other in copies:
+            loss = (qnet_loss_and_grads(other, X, lengths, np.zeros(7, dtype=int), np.ones(7),
+                                        rng=np.random.default_rng(4))
+                    if isinstance(other, QNetwork)
+                    else regressor_loss_and_grads(other, X, lengths, np.ones(7)))
+            assert np.isfinite(loss[0])
+        mine, theirs = (_buffers(c) for c in copies)
+        assert mine and theirs
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
+def test_paper_shape_learn_step_faults_in_no_fresh_pages():
+    # after warm-up a learn step at the paper's shapes (B=128, D=100, h=256,
+    # k=100, float32) reuses its buffers instead of faulting in new pages
+    resource = pytest.importorskip("resource")
+    from chatdqn.agent import AgentConfig, ChatDQNAgent, Transition
+
+    rng = np.random.default_rng(63)
+    cfg = AgentConfig(n_actions=100, embedding_dim=100, hidden_dim=256, batch_size=128,
+                      burn_in=128, learn_steps=1000, memory_capacity=1000, seed=3)
+    agent = ChatDQNAgent(cfg)
+    vectors = rng.normal(size=(2000, 100))
+    for _ in range(256):
+        n = int(rng.integers(1, 14))
+        s = tuple(int(i) for i in rng.integers(0, 2000, size=n))
+        agent.memory.append(Transition(s=s, a=int(rng.integers(100)), r=1,
+                                       s_next=s + (int(rng.integers(2000)),),
+                                       done=bool(rng.random() < 0.1),
+                                       candidate_ids_next=(1, 2, 3)))
+
+    def materialize(rows):
+        return pad_batch(vectors, rows)
+
+    slots = agent.memory.sample(128, agent.rng_replay)
+    for _ in range(3):  # warm-up; the TD targets of these slots get cached
+        agent.train_step(slots, materialize)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    agent.train_step(slots, materialize)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 200
+
+
+# ---------------------------------------------------------------------------
 # a carried initial state h0: a batch continued from where an earlier call
 # over each row's preceding cells ended
 
@@ -988,3 +1122,16 @@ def test_glorot_bounds():
     assert W.shape == (40, 30)
     assert np.abs(W).max() <= lim
     assert np.abs(W).max() > 0.8 * lim  # actually fills the range
+
+
+def test_release_buffers_drops_them_and_training_goes_on():
+    rng = np.random.default_rng(64)
+    X, lengths = tiny_batch(rng, B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    reg = RewardRegressor(3, 4, rng=np.random.default_rng(65)).astype(np.float32)
+    _, grads = regressor_loss_and_grads(reg, X, lengths, np.ones(7))
+    assert _buffers(reg)
+    reg.release_buffers()
+    assert _buffers(reg) == []
+    _, again = regressor_loss_and_grads(reg, X, lengths, np.ones(7))
+    for name in grads:
+        np.testing.assert_array_equal(again[name], grads[name])

@@ -4,7 +4,8 @@ definition. Tests do not count, so code that only tests read fails here.
 Every per-layer row of `BENCHMARK.json` names a callable the benchmark's
 tracer wraps, so a rename cannot leave a row reading 0 unnoticed, and the
 tracer's GRU flop hooks still read the shapes the GRU keeps. No module in
-`src/` or `demos/` reads another module's private name."""
+`src/` or `demos/` reads another module's private name, and no file in
+`src/` tunes the allocator."""
 
 import ast
 import dataclasses
@@ -164,4 +165,15 @@ def test_no_module_reads_another_modules_private_name():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path, tree in TREES if path.relative_to(ROOT).parts[0] in ("src", "demos")
              for line, name in _private_reads(tree)]
+    assert found == []
+
+
+def test_no_module_tunes_the_allocator():
+    # setting MALLOC_* thresholds or calling mallopt would change the
+    # allocator of every program that imports chatdqn; the networks reuse
+    # their own work buffers instead
+    found = [f"{path.relative_to(ROOT)}:{n}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "MALLOC_" in line or "mallopt" in line]
     assert found == []
