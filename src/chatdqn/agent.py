@@ -89,6 +89,10 @@ class AgentConfig:
             raise ValueError("batch_size must not exceed memory_capacity")
         if self.epsilon_decay_steps is not None and self.epsilon_decay_steps < 1:
             raise ValueError("epsilon_decay_steps must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must satisfy 0 <= rate < 1, got {self.dropout_rate}")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

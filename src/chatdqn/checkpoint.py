@@ -108,8 +108,9 @@ def load_qnetwork(path: str) -> QNetwork:
     other arrays (checkpoints once also held the target network and Adam
     moments) are ignored. The network computes in float32, as the agent's
     online network does. The architecture is the checkpoint's own;
-    `experiment.load_policy` checks it against a config. A malformed file
-    raises `ValueError` naming `path`."""
+    `experiment.load_policy` checks it against a config. A malformed file,
+    or one holding a non-finite parameter, raises `ValueError` naming
+    `path` (and the parameter)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != _MAGIC:

@@ -40,20 +40,24 @@ GRU update, per step (sigma = logistic):
     h~  = tanh(W_h x + U_h (r * h_prev) + b_h)
     h_t = (1 - z) * h_prev + z * h~
 
-A GRU layer keeps its per-gate parameters (`W_z` ... `b_h`) but runs them
-stacked: one GEMM computes the input projections X @ [W_z; W_r; W_h]^T + b
-of all valid cells into a single (cells, 3h) gate buffer, and each step then
-needs one [U_z; U_r] GEMM, one `sigmoid` call for z and r together, and the
-U_h GEMM on its active rows, after which it overwrites its rows of the
-buffer with [z r h~]. The backward pass walks the steps in reverse and
-overwrites each step's rows again with the gate pre-activation gradients,
-so dW, db and dX each take one GEMM after the loop, and so do dU_zr and dU_h
-over the cells past step 0. Because of that overwrite a cache serves
-exactly one backward pass. A batch of one row, as every acting call of the
-training loop and the chat REPL is, gets the same hidden states, bit for
-bit, as a loop over all padded cells; a ragged batch can differ from that
-loop in the last bits, because its GEMMs run on fewer rows, and so can the
-recurrent weight gradients, which sum over the steps in one GEMM.
+Parameters. A network holds all its parameters in one flat buffer, laid out
+by one table of its layers; `params()` names their views `<layer>.<name>`,
+and its gradients are one fresh buffer of that layout. A GRU layer stacks
+its gates z, r, h as `torch.nn.GRU` does: W (3h, in), U (3h, h) and b (3h)
+are contiguous blocks, and `W_z` ... `b_h` are row-block views of them. One
+GEMM computes X @ W^T + b for all valid cells into a (cells, 3h) gate
+buffer; each step then needs one GEMM on U's z and r rows, one `sigmoid`
+call for z and r together, and the U_h GEMM on its active rows, and
+overwrites its rows of the buffer with `[z r h~]`. The backward pass walks
+the steps in reverse and overwrites each step's rows again with the gate
+pre-activation gradients, so dW, db, dX and U's two row blocks each take one
+GEMM after the loop, written straight into the stacked gradient blocks.
+Because of that overwrite a cache serves exactly one backward pass. A batch
+of one row, as every acting call of the training loop and the chat REPL is,
+gets the same hidden states, bit for bit, as a loop over all padded cells; a
+ragged batch can differ from that loop in the last bits, because its GEMMs
+run on fewer rows, and so can the recurrent weight gradients, which sum over
+the steps in one GEMM.
 
 A GRU layer starts from the zero state unless it is given `h0`, the (B, h)
 states to start its rows from. `QNetwork.forward_carried`, the Q-network's
@@ -70,15 +74,15 @@ train-mode calls use them (`forward_cached(..., train_mode=True)`, so
 `qnet_loss_and_grads` and `regressor_loss_and_grads`); eval-mode calls, the
 target network's among them, allocate fresh arrays, so a network that only
 evaluates holds no buffer. A buffer grows to the largest batch the network
-has trained on and lives as long as the network: the packed and cast
-input, the gate buffer, the states, the recurrent inputs the backward pass
-collects, the input gradient passed down, the stacked weights and the
-temporaries. A train-mode cache is therefore valid until that network's
-next train-mode forward. Q-values, predictions, carried states and
+has trained on and lives as long as the network: the packed and cast input,
+the gate buffer, the states, the recurrent inputs the backward pass
+collects, the input gradient passed down and the temporaries; the weights
+are read in place. A train-mode cache is therefore valid until that
+network's next train-mode forward. Q-values, predictions, carried states and
 gradients are never views of a buffer, and `astype` gives its copy
 workspaces of its own. Buffers are written with `out=` by the operations a
-fresh array would take, in the same order, so every bit is the same; a
-learn step reuses its memory instead of faulting in fresh pages from the
+fresh array would take, in the same order, so every bit is the same; a learn
+step reuses its memory instead of faulting in fresh pages from the
 allocator.
 """
 
@@ -162,22 +166,27 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.uniform(-s, s, size=(rows, cols))
 
 
-def init_gru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> dict:
-    """Gate weights W_* (h, in), recurrent weights U_* (h, h), zero biases."""
-    p = {}
-    for gate in ("z", "r", "h"):
-        p[f"W_{gate}"] = glorot_uniform(rng, hidden_dim, input_dim)
-        p[f"U_{gate}"] = glorot_uniform(rng, hidden_dim, hidden_dim)
-        p[f"b_{gate}"] = np.zeros(hidden_dim, dtype=np.float64)
+class _GRUParams(dict):
+    """A GRU layer's parameters: the gate-stacked blocks W (3h, in), U (3h, h)
+    and b (3h,), gates in the order z, r, h, as its only attributes (`vars`),
+    and as items the per-gate names W_z ... b_h, row-block views of them."""
+
+    def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray):
+        hd = len(b) // 3
+        super().__init__((f"{k}_{gate}", a[i * hd : (i + 1) * hd]) for i, gate in enumerate("zrh")
+                         for k, a in (("W", W), ("U", U), ("b", b)))
+        self.W, self.U, self.b = W, U, b
+
+
+def init_gru_params(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> _GRUParams:
+    """Gate weights W_* (h, in), recurrent weights U_* (h, h), zero biases,
+    drawn gate by gate (W_z, U_z, W_r, ...) into the stacked blocks."""
+    p = _GRUParams(np.empty((3 * hidden_dim, input_dim)), np.empty((3 * hidden_dim, hidden_dim)),
+                   np.zeros(3 * hidden_dim))
+    for gate in "zrh":
+        p[f"W_{gate}"][...] = glorot_uniform(rng, hidden_dim, input_dim)
+        p[f"U_{gate}"][...] = glorot_uniform(rng, hidden_dim, hidden_dim)
     return p
-
-
-def _check_gru_shapes(p: dict, x_dim: int, h_dim: int) -> None:
-    if p["W_z"].shape != (h_dim, x_dim) or p["U_z"].shape != (h_dim, h_dim):
-        raise ValueError(
-            f"GRU parameter shapes {p['W_z'].shape}/{p['U_z'].shape} do not "
-            f"match input dim {x_dim} and hidden dim {h_dim}"
-        )
 
 
 class _Workspace:
@@ -325,7 +334,7 @@ def _rowmajor(packing: _Packing, shape: tuple) -> np.ndarray:
     return np.argsort(packing.cells)
 
 
-def gru_forward(p: dict, X, lengths: np.ndarray, h0: np.ndarray | None = None,
+def gru_forward(p: _GRUParams, X, lengths: np.ndarray, h0: np.ndarray | None = None,
                 ws: _Workspace | None = None):
     """Run a GRU layer over a padded batch.
 
@@ -347,30 +356,24 @@ def gru_forward(p: dict, X, lengths: np.ndarray, h0: np.ndarray | None = None,
     skips the recurrent GEMMs. A cache made from an h0 cannot be
     backpropagated.
 
-    ws: the layer's workspace; the gates, states, stacked weights and
-    packed input then live in its buffers, and so do the cache's, until the
-    workspace's next call. The H returned for a padded X is always fresh.
+    ws: the layer's workspace; the gates, states and packed input then
+    live in its buffers, and so do the cache's, until the workspace's next
+    call. The H returned for a padded X is always fresh.
     """
     packed = isinstance(X, _Packed)
-    B, T, D = X.shape
-    hd = p["W_z"].shape[0]
-    _check_gru_shapes(p, D, hd)
+    B, T, _ = X.shape
+    hd = p.U.shape[1]
     if h0 is not None and np.shape(h0) != (B, hd):
         raise ValueError(f"initial state of shape {np.shape(h0)} for {B} rows "
                          f"of hidden dim {hd}")
-    dtype = p["W_z"].dtype
-    # out=None (no workspace) lets numpy allocate
-    W = np.concatenate((p["W_z"], p["W_r"], p["W_h"]), out=ws and ws.get("W", 3 * hd, D, dtype))
-    U_zr = np.concatenate((p["U_z"], p["U_r"]), out=ws and ws.get("U", 2 * hd, hd, dtype))
-    U_h = p["U_h"]
-    b = np.concatenate((p["b_z"], p["b_r"], p["b_h"]), out=ws and ws.get("b", 1, 3 * hd, dtype)[0])
+    W, U_zr, U_h, dtype = p.W, p.U[: 2 * hd], p.U[2 * hd :], p.W.dtype
     P = X if packed else _pack(X, _packing(np.asarray(lengths), T), dtype, ws)
     order, steps, ends = P.packing.order, P.packing.steps, P.packing.ends
     N = len(P.cells)
     # G: one row per valid cell, step t's rows after step t - 1's; each row
     # holds [a_z a_r a_h] input pre-activations, then [z r h~]
     G = np.matmul(P.cells, W.T, out=ws and ws.get("G", N, 3 * hd, dtype))
-    G += b
+    G += p.b
     # Hs: the state of each valid cell, in G's layout; a step reads its
     # rows' previous states from the leading rows of the step before
     Hs = _buffer(ws, "H", N, hd, dtype)
@@ -426,7 +429,7 @@ def gru_forward(p: dict, X, lengths: np.ndarray, h0: np.ndarray | None = None,
     return (H if packed else _padded(H, last)), cache
 
 
-def gru_backward(cache: dict, dH, input_grad: bool = True):
+def gru_backward(cache: dict, dH, input_grad: bool = True, grads: _GRUParams | None = None):
     """Backprop through `gru_forward`, consuming its cache.
 
     dH: (B, T, h) upstream gradients on each H[:, t] (zeros where none); a
@@ -434,15 +437,16 @@ def gru_backward(cache: dict, dH, input_grad: bool = True):
     forward, dH is a `_Packed` whose cells (or None) hold the gradients on
     the valid cells and whose `last` (or None) the gradients on the final
     states.
-    Returns (grads, dX): parameter-gradient dict with the layer's key names,
-    and the gradient w.r.t. the input batch, or None with input_grad=False
-    (a first layer, whose input has no parameters). dX is (B, T, D), zero on
+    Returns (grads, dX): the parameter gradients, written into `grads` (a
+    layer of a network's gradient buffer) or into fresh stacked blocks, and
+    the gradient w.r.t. the input batch, or None with input_grad=False (a
+    first layer, whose input has no parameters). dX is (B, T, D), zero on
     padding, for a padded forward, and packed for a packed one, in the
     workspace's buffer "dX" when the forward had one. The steps run in
     reverse over the forward's packed cells; each step's rows of the gate
     buffer are overwritten with their pre-activation gradients, which then
-    give dW, db, dX, dU_zr and dU_h as one GEMM each; a second call on the
-    same cache raises, and so does a cache made from an initial state h0.
+    give dW, db, dX and U's two row blocks as one GEMM each; a second call
+    on the same cache raises, and so does a cache made from an h0.
     """
     if cache["carried"]:
         raise ValueError("GRU cache made from an initial state h0: only the "
@@ -513,22 +517,18 @@ def gru_backward(cache: dict, dH, input_grad: bool = True):
         else:
             zr[:, hd:] *= f
             gm += np.matmul(zr, U_zr, out=t_u[:n])
-    dU_zr = G[n0:, : 2 * hd].T @ HP
-    dU_h = G[n0:, 2 * hd :].T @ RHP
-    dW = G.T @ P.cells
-    db = G.sum(axis=0)
+    if grads is None:
+        grads = _GRUParams(np.empty_like(W), np.empty((3 * hd, hd), dtype), np.empty(3 * hd, dtype))
+    np.matmul(G[n0:, : 2 * hd].T, HP, out=grads.U[: 2 * hd])
+    np.matmul(G[n0:, 2 * hd :].T, RHP, out=grads.U[2 * hd :])
+    np.matmul(G.T, P.cells, out=grads.W)
+    np.sum(G, axis=0, out=grads.b)
     dX = None
     if input_grad:
         dXc = np.matmul(G, W, out=ws and ws.get("dX", len(G), D, dtype))
         dX = _Packed(dXc, None, P.packing, P.shape)
         if not packed:
             dX = _padded(dX)
-    grads = {}
-    for i, gate in enumerate(("z", "r", "h")):
-        rows = slice(i * hd, (i + 1) * hd)
-        grads[f"W_{gate}"] = dW[rows]
-        grads[f"b_{gate}"] = db[rows]
-    grads["U_z"], grads["U_r"], grads["U_h"] = dU_zr[:hd], dU_zr[hd:], dU_h
     return grads, dX
 
 
@@ -618,19 +618,48 @@ class Adam:
             params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
 
 
-def _flat(prefix: str, p: dict) -> dict:
-    return {f"{prefix}.{k}": v for k, v in p.items()}
+def _check_finite(buf: np.ndarray, named: dict, error: type, what: str) -> None:
+    """Raise `error` naming the first of `named` (views of buf) that holds a
+    non-finite value: one reduction over buf, a search only if it fails."""
+    if not np.isfinite(buf).all():
+        bad = next(k for k, a in named.items() if not np.isfinite(a).all())
+        raise error(f"non-finite {what} {bad}")
 
 
-def _raise_on_bad_grads(grads: dict) -> None:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
+def _named(layers: dict) -> dict:
+    """Flat `<layer>.<name>` -> array, from each layer's mapping."""
+    return {f"{layer}.{k}": a for layer, p in layers.items() for k, a in p.items()}
 
 
 class _Network:
-    """Parameter loading, dtype casts and the train-mode workspaces shared by
-    the two networks, whose `params()` returns flat name -> array views."""
+    """The parameter buffer, its loading and dtype casts, and the train-mode
+    workspaces shared by the two networks."""
+
+    def _own(self, **layers) -> None:
+        """Copy the layers (`_GRUParams`, or dicts of arrays) into one flat
+        buffer and bind each name to views of it; the buffer's table
+        `_layout` holds each layer's type and its blocks' names, offsets and
+        shapes, a GRU's blocks being its stacked W, U and b."""
+        self._layout, arrays, start = {}, [], 0
+        for name, p in layers.items():
+            self._layout[name] = (type(p), [])
+            for k, a in (vars(p) if isinstance(p, _GRUParams) else p).items():
+                self._layout[name][1].append((k, start, a.shape))
+                arrays.append(a.ravel())
+                start += a.size
+        self._buf = np.concatenate(arrays)
+        vars(self).update(self._views(self._buf))
+
+    def _views(self, buf: np.ndarray) -> dict:
+        """Layer name -> the layer's mapping of views of buf, by `_layout`."""
+        return {name: kind(**{k: buf[i : i + int(np.prod(shape))].reshape(shape)
+                              for k, i, shape in blocks})
+                for name, (kind, blocks) in self._layout.items()}
+
+    def params(self) -> dict:
+        """Flat `<layer>.<name>` -> view of the parameter buffer (shared
+        references, not copies)."""
+        return _named({name: getattr(self, name) for name in self._layout})
 
     def release_buffers(self) -> None:
         """Drop the train-mode work buffers, as a trained network that from
@@ -644,31 +673,32 @@ class _Network:
         """(packed input, per-layer workspaces): train mode packs into and
         runs on the network's workspaces, eval mode on fresh arrays."""
         ws = self._ws if train_mode else (None, None)
-        return _pack_input(X, lengths, self.gru1["W_z"].dtype, ws[0]), ws
+        return _pack_input(X, lengths, self._buf.dtype, ws[0]), ws
 
     def astype(self, dtype) -> "_Network":
-        """A copy with every parameter and buffer (the batch-norm running
-        statistics included) cast to dtype, and workspaces of its own; the
-        network then computes in dtype."""
+        """A copy with the parameter buffer and the batch-norm running
+        statistics cast to dtype, and workspaces of its own; the network
+        then computes in dtype."""
         other = copy.copy(self)
         for name, value in vars(self).items():
-            if isinstance(value, dict):
-                setattr(other, name, {k: v.astype(dtype) for k, v in value.items()})
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 setattr(other, name, value.astype(dtype))
+        vars(other).update(other._views(other._buf))
         other.release_buffers()
         return other
 
     def load_params(self, flat: dict) -> None:
         """Copy `flat` into the parameters, cast to their dtype; names and
-        shapes must match."""
+        shapes must match, and every value must be finite in that dtype."""
         own = self.params()
         if set(own) != set(flat):
-            raise ValueError("parameter name mismatch")
+            raise ValueError(f"parameter name mismatch: missing {sorted(set(own) - set(flat))}, "
+                             f"unexpected {sorted(set(flat) - set(own))}")
         for k, v in flat.items():
             if own[k].shape != np.shape(v):
                 raise ValueError(f"parameter shape mismatch for {k}")
             own[k][...] = v
+        _check_finite(self._buf, own, ValueError, "parameter")
 
 
 class QNetwork(_Network):
@@ -685,20 +715,10 @@ class QNetwork(_Network):
         self.hidden_dim = hidden_dim
         self.n_actions = n_actions
         self.dropout_rate = dropout_rate
-        self.gru1 = init_gru_params(rng, embedding_dim, hidden_dim)
-        self.gru2 = init_gru_params(rng, hidden_dim, hidden_dim)
-        self.head = {
-            "W": glorot_uniform(rng, n_actions, hidden_dim),
-            "b": np.zeros(n_actions, dtype=np.float64),
-        }
+        self._own(gru1=init_gru_params(rng, embedding_dim, hidden_dim),
+                  gru2=init_gru_params(rng, hidden_dim, hidden_dim),
+                  head={"W": glorot_uniform(rng, n_actions, hidden_dim), "b": np.zeros(n_actions)})
         self.release_buffers()  # none until the first train-mode call
-
-    def params(self) -> dict:
-        """Flat name -> array view (shared references, not copies)."""
-        out = _flat("gru1", self.gru1)
-        out.update(_flat("gru2", self.gru2))
-        out.update(_flat("head", self.head))
-        return out
 
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False,
                        rng: np.random.Generator | None = None):
@@ -734,21 +754,21 @@ class QNetwork(_Network):
         return Q
 
     def backward(self, cache: dict, dQ: np.ndarray) -> dict:
-        """Flat parameter gradients from upstream dQ (B, k)."""
-        grads = {}
-        grads["head.W"] = dQ.T @ cache["h_drop"]
-        grads["head.b"] = dQ.sum(axis=0)
-        dh_drop = dQ @ self.head["W"]
+        """Flat parameter gradients from upstream dQ (B, k), views of one
+        fresh buffer laid out as the parameters."""
+        buf = np.empty_like(self._buf)
+        g = self._views(buf)
+        np.matmul(dQ.T, cache["h_drop"], out=g["head"]["W"])
+        np.sum(dQ, axis=0, out=g["head"]["b"])
+        dh_last = dQ @ self.head["W"]
         if cache["drop_mask"] is not None:
-            dh_last = dh_drop * cache["drop_mask"]
-        else:
-            dh_last = dh_drop
+            dh_last *= cache["drop_mask"]
         H2 = cache["c2"]["H"]
-        g2, dH1 = gru_backward(cache["c2"], _Packed(None, dh_last, H2.packing, H2.shape))
-        g1, _ = gru_backward(cache["c1"], dH1, input_grad=False)
-        grads.update(_flat("gru1", g1))
-        grads.update(_flat("gru2", g2))
-        _raise_on_bad_grads(grads)
+        _, dH1 = gru_backward(cache["c2"], _Packed(None, dh_last, H2.packing, H2.shape),
+                              grads=g["gru2"])
+        gru_backward(cache["c1"], dH1, input_grad=False, grads=g["gru1"])
+        grads = _named(g)
+        _check_finite(buf, grads, FloatingPointError, "gradient for parameter")
         return grads
 
 
@@ -783,36 +803,16 @@ class RewardRegressor(_Network):
     def __init__(self, embedding_dim: int, hidden_dim: int,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.embedding_dim = embedding_dim
-        self.hidden_dim = hidden_dim
-        self.gru1 = init_gru_params(rng, embedding_dim, hidden_dim)
-        self.gru2 = init_gru_params(rng, hidden_dim, hidden_dim)
-        self.bn1 = {
-            "gamma": np.ones(hidden_dim, dtype=np.float64),
-            "beta": np.zeros(hidden_dim, dtype=np.float64),
-        }
-        self.bn2 = {
-            "gamma": np.ones(hidden_dim, dtype=np.float64),
-            "beta": np.zeros(hidden_dim, dtype=np.float64),
-        }
-        self.head = {
-            "W": glorot_uniform(rng, 1, hidden_dim),
-            "b": np.zeros(1, dtype=np.float64),
-        }
-        # Running statistics (buffers, not trained).
-        self.bn1_mean = np.zeros(hidden_dim, dtype=np.float64)
-        self.bn1_var = np.ones(hidden_dim, dtype=np.float64)
-        self.bn2_mean = np.zeros(hidden_dim, dtype=np.float64)
-        self.bn2_var = np.ones(hidden_dim, dtype=np.float64)
+        self.embedding_dim, self.hidden_dim = embedding_dim, hidden_dim
+        h = hidden_dim
+        self._own(gru1=init_gru_params(rng, embedding_dim, h), gru2=init_gru_params(rng, h, h),
+                  bn1={"gamma": np.ones(h), "beta": np.zeros(h)},
+                  bn2={"gamma": np.ones(h), "beta": np.zeros(h)},
+                  head={"W": glorot_uniform(rng, 1, h), "b": np.zeros(1)})
+        # running statistics (buffers, not trained)
+        self.bn1_mean, self.bn1_var = np.zeros(h), np.ones(h)
+        self.bn2_mean, self.bn2_var = np.zeros(h), np.ones(h)
         self.release_buffers()  # none until the first train-mode call
-
-    def params(self) -> dict:
-        out = _flat("gru1", self.gru1)
-        out.update(_flat("gru2", self.gru2))
-        out.update(_flat("bn1", self.bn1))
-        out.update(_flat("bn2", self.bn2))
-        out.update(_flat("head", self.head))
-        return out
 
     def forward_cached(self, X: np.ndarray, lengths, train_mode: bool = False):
         """(preds, cache) on a (B, T, m) batch, run to max(1, longest) steps."""
@@ -847,24 +847,24 @@ class RewardRegressor(_Network):
         return self.forward_cached(X, lengths)[0]
 
     def backward(self, cache: dict, dpreds: np.ndarray) -> dict:
-        grads = {}
-        grads["head.W"] = (dpreds[None, :] @ cache["h_norm"])
-        grads["head.b"] = np.array([dpreds.sum()])
-        dh_norm = np.outer(dpreds, self.head["W"][0])
-        dh_last, dg2, db2 = batchnorm_backward(cache["bn2"], dh_norm)
-        grads["bn2.gamma"] = dg2
-        grads["bn2.beta"] = db2
+        """Flat parameter gradients from upstream dpreds (B,), views of one
+        fresh buffer laid out as the parameters."""
+        buf = np.empty_like(self._buf)
+        g = self._views(buf)
+        np.matmul(dpreds[None, :], cache["h_norm"], out=g["head"]["W"])
+        g["head"]["b"][0] = dpreds.sum()
+        dh_last, g["bn2"]["gamma"][...], g["bn2"]["beta"][...] = batchnorm_backward(
+            cache["bn2"], np.outer(dpreds, self.head["W"][0]))
         H2, rowmajor = cache["c2"]["H"], cache["rowmajor"]
-        g2, dX2 = gru_backward(cache["c2"], _Packed(None, dh_last, H2.packing, H2.shape))
-        dxs, dg1, db1 = batchnorm_backward(cache["bn1"], dX2.cells[rowmajor])
-        grads["bn1.gamma"] = dg1
-        grads["bn1.beta"] = db1
+        _, dX2 = gru_backward(cache["c2"], _Packed(None, dh_last, H2.packing, H2.shape),
+                              grads=g["gru2"])
+        dxs, g["bn1"]["gamma"][...], g["bn1"]["beta"][...] = batchnorm_backward(
+            cache["bn1"], dX2.cells[rowmajor])
         dX2.cells = np.empty_like(dxs)
         dX2.cells[rowmajor] = dxs
-        g1, _ = gru_backward(cache["c1"], dX2, input_grad=False)
-        grads.update(_flat("gru1", g1))
-        grads.update(_flat("gru2", g2))
-        _raise_on_bad_grads(grads)
+        gru_backward(cache["c1"], dX2, input_grad=False, grads=g["gru1"])
+        grads = _named(g)
+        _check_finite(buf, grads, FloatingPointError, "gradient for parameter")
         return grads
 
 

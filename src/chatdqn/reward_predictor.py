@@ -60,6 +60,8 @@ class PredictorConfig:
             raise ValueError("batch_size must be >= 2 (train-mode batch norm)")
         if self.epochs < 1 or self.hidden_dim < 1:
             raise ValueError("epochs and hidden_dim must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@
 layout local to these tests, so the format is pinned independently of
 `save_agent_checkpoint` and `load_qnetwork`."""
 
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from chatdqn import AgentConfig
 from chatdqn.agent import ChatDQNAgent
 from chatdqn.checkpoint import load_qnetwork, save_agent_checkpoint
-from chatdqn.neuralnet import QNetwork
+from chatdqn.neuralnet import QNetwork, RewardRegressor
 
 ARCH_FIELDS = ("embedding_dim", "hidden_dim", "n_actions", "dropout_rate")
 
@@ -164,6 +165,16 @@ def test_trailing_bytes_rejected(tmp_path):
         load_qnetwork(path)
 
 
+def _nan_checkpoint():
+    """A small network's whole file, with a NaN in head.b."""
+    net = QNetwork(2, 3, 2, rng=np.random.default_rng(0))
+    net.head["b"][1] = np.nan
+    params = net.params()
+    header = _header_bytes(_agent_header(net))
+    return b"CDQ1" + struct.pack(">I", len(header)) + header + b"".join(
+        np.ascontiguousarray(params[n], dtype="<f8").tobytes() for n in sorted(params))
+
+
 MALFORMED = {
     # case: (the whole file, or an edit of a good header, and the message);
     # the first four were seen to end `chatdqn eval` in a traceback
@@ -183,6 +194,8 @@ MALFORMED = {
         lambda h: {**h, "arrays": [{"name": "net.head.b", "shape": [-1, -1]}]},
         "malformed checkpoint header"),
     "no_net_arrays": (lambda h: {**h, "arrays": []}, "parameter name mismatch"),
+    # loaded, and then ended `chatdqn eval` in "non-finite Q-values"
+    "non_finite_parameter": (_nan_checkpoint(), "non-finite parameter head.b"),
 }
 
 
@@ -196,6 +209,24 @@ def test_malformed_checkpoint_refused(tmp_path, case):
         _write_cdq1(path, _header_bytes(content(_agent_header(_small_agent().net))))
     with pytest.raises(ValueError, match=re.escape(path) + ": " + message):
         load_qnetwork(path)
+
+
+def test_fresh_networks_keep_their_pinned_bytes(tmp_path):
+    # the init draw order and the file layout, pinned by digest: a fresh
+    # agent's checkpoint, and a fresh regressor's parameters in sorted-name
+    # order as float64; no training and no BLAS call is involved
+    agent = ChatDQNAgent(AgentConfig(n_actions=5, embedding_dim=4, hidden_dim=6, burn_in=1,
+                                     learn_steps=2, batch_size=1, memory_capacity=2, seed=3))
+    path = str(tmp_path / "fresh.ckpt")
+    save_agent_checkpoint(path, agent)
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == (
+        "dbf11403580c683e575eb2d71cc42b7c032ddbd3930026a392a136263929b9ae")
+    params = RewardRegressor(4, 6, rng=np.random.default_rng([3, 10])).params()
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(np.asarray(params[name], dtype="<f8").tobytes())
+    assert digest.hexdigest() == (
+        "6c3e3b68d3f8aeb359d563a4a1efe38fae8ed9b47c6ef798107deaca0761d2fb")
 
 
 def test_header_arch_fields(tmp_path):

@@ -647,6 +647,30 @@ def test_non_number_float_field_is_error(cli_world, tmp_path, capsys, part, key,
     assert not os.path.exists(d["out_dir"])
 
 
+@pytest.mark.parametrize("part, key, value, message", [
+    ("agent", "learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+    ("agent", "learning_rate", -0.001, "learning_rate must be > 0, got -0.001"),
+    ("predictor", "learning_rate", 0, "learning_rate must be > 0, got 0"),
+    ("agent", "dropout_rate", 1.5, "dropout_rate must satisfy 0 <= rate < 1, got 1.5"),
+    ("agent", "dropout_rate", -0.1, "dropout_rate must satisfy 0 <= rate < 1, got -0.1"),
+])
+def test_out_of_range_training_rate_is_error(cli_world, tmp_path, capsys, part, key, value,
+                                             message):
+    # a zero rate trained nothing and a negative one climbed the loss; a
+    # dropout rate of 1.5 failed only when the train stage built the network
+    root, cpath, _ = cli_world
+    with open(cpath) as fh:
+        d = json.load(fh)
+    d[part][key] = value
+    d["out_dir"] = str(tmp_path / "out")
+    bad = root / f"bad_{part}_{key}_{value}.json"
+    bad.write_text(json.dumps(d))
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not os.path.exists(d["out_dir"])
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

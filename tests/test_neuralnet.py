@@ -6,6 +6,7 @@ implementations they check.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ def ref_qnet_forward(net, rows, length):
         h2 = ref_gru_cell(net.gru2, H1[t], h2)
     W, b = net.head["W"], net.head["b"]
     return np.array([float(W[a] @ h2 + b[a]) for a in range(W.shape[0])])
+
+
+def cast_gru(p, dtype):
+    """A copy of GRU layer p in dtype: its three stacked blocks cast."""
+    return type(p)(p.W.astype(dtype), p.U.astype(dtype), p.b.astype(dtype))
 
 
 def tiny_batch(rng, B, L, m, lengths=None):
@@ -594,7 +600,7 @@ def test_packed_gru_b1_forward_is_bit_equal_to_padded_loop(dtype):
     # one row (every acting and greedy-evaluation call) is already packed,
     # so its hidden states keep the padded loop's bits
     rng = np.random.default_rng(47)
-    p = {k: v.astype(dtype) for k, v in init_gru_params(rng, 5, 6).items()}
+    p = cast_gru(init_gru_params(rng, 5, 6), dtype)
     for n in (1, 4, 9):
         X = rng.normal(size=(1, n, 5))
         H, _ = gru_forward(p, X, np.array([n]))
@@ -628,7 +634,7 @@ def test_buffered_gru_is_bit_equal_to_the_fresh_one(dtype):
     # each equals the same call without a workspace bit for bit, and the
     # padded loop as closely as the unbuffered GRU does
     rng = np.random.default_rng(56)
-    p = {k: v.astype(dtype) for k, v in init_gru_params(rng, 3, 4).items()}
+    p = cast_gru(init_gru_params(rng, 3, 4), dtype)
     ws = _Workspace()
     batches = [(9, [2, 7, 1, 7, 5, 3, 6, 4, 2]), (7, RAGGED_LENGTHS), (3, [5, 5, 5]), (1, [5])]
     for B, lengths in batches:
@@ -716,6 +722,74 @@ def test_astype_copies_share_no_buffer_with_their_source(make):
         mine, theirs = (_buffers(c) for c in copies)
         assert mine and theirs
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        # and each has a parameter buffer of its own, of which its params() are views
+        assert not np.shares_memory(copies[0]._buf, copies[1]._buf)
+        for c in copies:
+            assert all(np.shares_memory(a, c._buf) for a in c.params().values())
+
+
+# ---------------------------------------------------------------------------
+# one parameter buffer per network: params() and the GRU's stacked blocks are
+# views of it, nothing copies the weights, and gradients are fresh
+
+
+NETWORKS = {
+    "qnet": lambda dtype: QNetwork(3, 4, 5, rng=np.random.default_rng(66)).astype(dtype),
+    "regressor": lambda dtype: RewardRegressor(3, 4, rng=np.random.default_rng(67)).astype(dtype),
+}
+
+
+def _forward_cached(net, X, lengths, train_mode):
+    if isinstance(net, QNetwork):
+        return net.forward_cached(X, lengths, train_mode, np.random.default_rng(5))
+    return net.forward_cached(X, lengths, train_mode)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", sorted(NETWORKS))
+def test_params_and_gru_caches_are_views_of_the_one_buffer(kind, dtype):
+    net = NETWORKS[kind](dtype)
+    buf = net._buf
+    assert buf.ndim == 1 and buf.dtype == dtype
+    params = net.params()
+    assert sum(a.size for a in params.values()) == buf.size  # the names tile it
+    for name, a in params.items():
+        assert np.shares_memory(a, buf), name
+    for layer in (net.gru1, net.gru2):
+        for name, block in (("W", layer.W), ("U", layer.U), ("b", layer.b)):
+            np.testing.assert_array_equal(
+                block, np.concatenate([layer[f"{name}_{gate}"] for gate in "zrh"]))
+    X, lengths = tiny_batch(np.random.default_rng(68), B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    for train_mode in (True, False):
+        out, cache = _forward_cached(net, X, lengths, train_mode)
+        for c in ("c1", "c2"):
+            for key in ("W", "U_zr", "U_h"):
+                assert np.shares_memory(cache[c][key], buf), (train_mode, c, key)
+        if train_mode:
+            net.backward(cache, np.ones_like(out))
+    # the workspaces the train-mode pass grew hold no weight, nor a copy of one
+    weights = [w for layer in (net.gru1, net.gru2) for w in (layer.W, layer.U, layer.b[None])]
+    for b in _buffers(net):
+        assert not np.shares_memory(b, buf)
+        for w in weights:
+            assert not (b.shape[1] == w.shape[1] and len(b) >= len(w)
+                        and np.array_equal(b[: len(w)], w))
+
+
+@pytest.mark.parametrize("kind", sorted(NETWORKS))
+def test_two_backward_calls_return_fresh_gradients(kind):
+    # equal values in memory of their own: tests that compare one call's
+    # gradients with another's cannot pass because both are one buffer
+    net = NETWORKS[kind](np.float32)
+    X, lengths = tiny_batch(np.random.default_rng(69), B=7, L=5, m=3, lengths=RAGGED_LENGTHS)
+    g1, g2 = [net.backward(cache, np.ones_like(out))
+              for out, cache in (_forward_cached(net, X, lengths, True) for _ in range(2))]
+    assert list(g1) == list(g2) == list(net.params())
+    for name, g in g1.items():
+        np.testing.assert_array_equal(g, g2[name])
+        assert not np.shares_memory(g, net._buf), name
+        assert not np.shares_memory(g2[name], net._buf), name
+        assert not any(np.shares_memory(g, other) for other in g2.values()), name
 
 
 def test_paper_shape_learn_step_faults_in_no_fresh_pages():
@@ -946,8 +1020,12 @@ def test_load_params_checks_names_and_shapes():
                 RewardRegressor(2, 3, rng=np.random.default_rng(31))):
         flat = {k: v.copy() for k, v in net.params().items()}
         net.load_params(flat)
-        with pytest.raises(ValueError, match="name mismatch"):
+        with pytest.raises(ValueError, match=re.escape(
+                "name mismatch: missing ['head.b'], unexpected []")):
             net.load_params({k: v for k, v in flat.items() if k != "head.b"})
+        with pytest.raises(ValueError, match=re.escape(
+                "name mismatch: missing [], unexpected ['head.c']")):
+            net.load_params({**flat, "head.c": flat["head.b"]})
         # a (1,) array would broadcast into any vector; it must be refused
         name = "bn1.gamma" if isinstance(net, RewardRegressor) else "head.b"
         with pytest.raises(ValueError, match=f"shape mismatch for {name}"):
